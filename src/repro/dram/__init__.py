@@ -8,7 +8,6 @@ from repro.dram.address import (
     decode_global,
     encode_global,
 )
-from repro.dram.controller import DEFAULT_REORDER_WINDOW, FRFCFSController
 from repro.dram.bank import ROW_CONFLICT, ROW_HIT, ROW_MISS, Bank, Rank
 from repro.dram.module import BULK_THRESHOLD, DRAMModule
 from repro.dram.timing import (
@@ -22,8 +21,6 @@ from repro.dram.timing import (
 
 __all__ = [
     "ADDR_BITS",
-    "DEFAULT_REORDER_WINDOW",
-    "FRFCFSController",
     "LINE_BYTES",
     "AddressMap",
     "Location",

@@ -1,103 +1,53 @@
-"""Bank and rank state machines (transaction-level timeline arithmetic).
+"""Bank and rank state (transaction-level timeline arithmetic).
 
 Rather than replaying every DDR command cycle-by-cycle, each bank keeps a
-small timeline (open row, earliest-next-access time, last-activate time) and
-computes, for one cache-line access arriving at time ``t``, when its data
-burst completes — honouring tRCD/tCAS/tRP/tRAS for the bank, tRRD/tFAW and
-refresh (tREFI/tRFC) for the rank, and serialising bursts on the rank's
-shared data bus.  This is the standard fidelity/speed trade-off for
-Python-scale DRAM models and preserves row-hit locality effects and
-bank-level parallelism, which are what the evaluation depends on.
+small timeline (open row, earliest-next-access time, last-activate time)
+and each rank keeps its recent activates and when its shared data bus
+frees up.  :meth:`~repro.dram.module.DRAMModule.completion_time` walks a
+request's cache lines over this state — honouring tRCD/tCAS/tRP/tRAS for
+the bank, tRRD/tFAW and refresh (tREFI/tRFC) for the rank, and
+serialising bursts on the rank's data bus.  This is the standard
+fidelity/speed trade-off for Python-scale DRAM models and preserves
+row-hit locality effects and bank-level parallelism, which are what the
+evaluation depends on.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Optional, Tuple
+from typing import Deque, Optional
 
 from repro.dram.timing import DRAMTiming
-from repro.sim.stats import StatRegistry
 
-#: Access categories reported per line access.
+#: Access categories reported per line access (trace span names).
 ROW_HIT = "row_hit"
 ROW_MISS = "row_miss"
 ROW_CONFLICT = "row_conflict"
-
-_CATEGORY_STAT = {
-    ROW_HIT: "dram.row_hit",
-    ROW_MISS: "dram.row_miss",
-    ROW_CONFLICT: "dram.row_conflict",
-}
 
 
 class Bank:
     """One DRAM bank's timeline state."""
 
-    __slots__ = ("timing", "open_row", "ready_at", "activated_at")
+    __slots__ = ("open_row", "ready_at", "activated_at")
 
-    def __init__(self, timing: DRAMTiming) -> None:
-        self.timing = timing
+    def __init__(self) -> None:
         self.open_row: Optional[int] = None
         #: earliest time the bank can start its next column/row command.
         self.ready_at = 0
         #: when the currently-open row was activated (for tRAS).
         self.activated_at = 0
 
-    def access(self, now: int, row: int, is_write: bool, act_gate: int) -> Tuple[int, str]:
-        """Access one line in ``row`` at time ``now``.
-
-        ``act_gate`` is the earliest time the rank allows a new activate
-        (tRRD/tFAW/refresh).  Returns ``(data_ready, category)`` where
-        ``data_ready`` is when the data burst may start on the rank bus.
-        """
-        timing = self.timing
-        start = max(now, self.ready_at)
-        if self.open_row == row:
-            category = ROW_HIT
-            data_ready = start + timing.tcas_ps
-            self.ready_at = start + timing.tburst_ps
-        elif self.open_row is None:
-            category = ROW_MISS
-            act_at = max(start, act_gate)
-            data_ready = act_at + timing.trcd_ps + timing.tcas_ps
-            self.open_row = row
-            self.activated_at = act_at
-            self.ready_at = act_at + timing.trcd_ps + timing.tburst_ps
-        else:
-            category = ROW_CONFLICT
-            pre_at = max(start, self.activated_at + timing.tras_ps)
-            act_at = max(pre_at + timing.trp_ps, act_gate)
-            data_ready = act_at + timing.trcd_ps + timing.tcas_ps
-            self.open_row = row
-            self.activated_at = act_at
-            self.ready_at = act_at + timing.trcd_ps + timing.tburst_ps
-        if is_write:
-            # write recovery keeps the bank busy after the burst
-            self.ready_at = max(self.ready_at, data_ready + timing.twr_ps)
-        return data_ready, category
-
-    def precharge_all(self) -> None:
-        """Close the open row (used on refresh and mode switches)."""
-        self.open_row = None
-
 
 class Rank:
     """A rank: banks plus rank-wide activate pacing, refresh, and data bus."""
 
-    def __init__(
-        self,
-        timing: DRAMTiming,
-        stats: StatRegistry,
-        name: str = "rank",
-        sim=None,
-    ) -> None:
+    def __init__(self, timing: DRAMTiming, name: str = "rank", sim=None) -> None:
         self.timing = timing
-        self.stats = stats
         self.name = name
         #: optional simulator handle, used only to reach its trace recorder
         #: (the timeline arithmetic itself never reads the clock).
         self.sim = sim
-        self.banks = [Bank(timing) for _ in range(timing.banks_per_rank)]
+        self.banks = [Bank() for _ in range(timing.banks_per_rank)]
         self._recent_activates: Deque[int] = deque(maxlen=4)
         self._bus_free_at = 0
 
@@ -113,53 +63,13 @@ class Rank:
             return (t // trefi + 1) * trefi
         return t
 
-    def _activate_gate(self, t: int) -> int:
-        """Earliest activate time at ``t`` honouring tRRD and tFAW."""
-        gate = t
-        if self._recent_activates:
-            gate = max(gate, self._recent_activates[-1] + self.timing.trrd_ps)
-        if len(self._recent_activates) == 4:
-            gate = max(gate, self._recent_activates[0] + self.timing.tfaw_ps)
-        return gate
-
-    def access_line(self, now: int, bank_id: int, row: int, is_write: bool) -> int:
-        """Access one 64B line; returns the completion time of its burst."""
-        bank = self.banks[bank_id]
-        start = self._refresh_gate(now)
-        act_gate = self._refresh_gate(self._activate_gate(start))
-        was_open = bank.open_row
-        data_ready, category = bank.access(start, row, is_write, act_gate)
-        if category != ROW_HIT:
-            self._recent_activates.append(bank.activated_at)
-            self.stats.add("dram.activates")
-        self.stats.add(_CATEGORY_STAT[category])
-        # serialise the burst on the rank's shared data bus
-        burst_start = max(data_ready, self._bus_free_at)
-        done = burst_start + self.timing.tburst_ps
-        self._bus_free_at = done
-        kind = "write" if is_write else "read"
-        self.stats.add(
-            "dram.write_bytes" if is_write else "dram.read_bytes",
-            self.timing.burst_bytes,
-        )
-        if self.sim is not None and self.sim.trace.enabled:
-            self.sim.trace.complete(
-                "dram",
-                category,
-                f"{self.name}.bank{bank_id}",
-                start,
-                done,
-                row=row,
-                kind=kind,
-            )
-        return done
-
     def stream(self, now: int, nbytes: int, is_write: bool) -> int:
         """Fast path for bulk transfers: first-word latency + streaming.
 
         Models a long sequential burst as one row-miss latency followed by
         data streamed at a derated fraction of the rank's peak bandwidth
-        (row turnarounds and refresh steal ~15%).
+        (row turnarounds and refresh steal ~15%).  The caller accounts the
+        bytes and activates.
         """
         timing = self.timing
         start = self._refresh_gate(now)
@@ -168,10 +78,8 @@ class Rank:
         stream_ps = int(nbytes / effective_gbps * 1000)
         done = max(first, self._bus_free_at) + stream_ps
         self._bus_free_at = done
-        kind = "write" if is_write else "read"
-        self.stats.add(f"dram.{kind}_bytes", nbytes)
-        self.stats.add("dram.activates", max(1, nbytes // timing.row_bytes))
         if self.sim is not None and self.sim.trace.enabled:
+            kind = "write" if is_write else "read"
             self.sim.trace.complete(
                 "dram", "stream", self.name, start, done, bytes=nbytes, kind=kind
             )
@@ -180,4 +88,4 @@ class Rank:
     def precharge_all(self) -> None:
         """Close every open row in the rank."""
         for bank in self.banks:
-            bank.precharge_all()
+            bank.open_row = None

@@ -1,7 +1,7 @@
 """Hot-path microbenchmark harness (``python -m repro.perf``).
 
 Measures the simulator's performance-critical inner loops — event-queue
-churn, FR-FCFS scheduling, route lookups, packet delivery, and one
+churn, epoch fast-forward, route lookups, packet delivery, and one
 end-to-end tiny experiment — and writes ``BENCH_hotpath.json``.  Raw
 ops/sec are machine-dependent, so every report also carries a
 calibration score (a fixed pure-Python loop timed on the same machine)

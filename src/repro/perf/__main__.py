@@ -15,10 +15,10 @@ from typing import Dict, List
 from repro.perf.benches import BENCHES, run_benches
 from repro.perf.calibrate import calibrate
 
-#: machine-independent floors for --check: the indexed/cached paths must
+#: machine-independent floors for --check: the epoch/cached paths must
 #: beat their in-process legacy counterparts by at least this ratio.
 #: Deliberately far below the typical 2-4x so CI noise cannot trip them.
-CHECK_FLOORS = {"epoch_fastforward": 1.5, "frfcfs": 1.3, "route_lookup": 1.3}
+CHECK_FLOORS = {"epoch_fastforward": 1.5, "route_lookup": 1.3}
 
 SCHEMA = "repro.perf/1"
 

@@ -1,10 +1,10 @@
 """The individual hot-path microbenchmarks.
 
 Each benchmark returns ``{"name", "ops", "wall_s", "ops_per_sec"}`` plus
-benchmark-specific extras.  The FR-FCFS and route-lookup benches also run
-the *pre-refactor* implementation — the controller's ``legacy_scan`` flag
-and a faithful re-implementation of the old per-call route computation —
-so the report carries in-PR speedup ratios that CI can assert without a
+benchmark-specific extras.  The epoch and route-lookup benches also run
+the *pre-refactor* implementation — the legacy per-event loop and a
+faithful re-implementation of the old per-call route computation — so
+the report carries in-PR speedup ratios that CI can assert without a
 recorded machine-specific baseline.
 """
 
@@ -14,7 +14,6 @@ import random
 import time
 from typing import Callable, Dict, List, Optional
 
-from repro.dram import DDR4_2400_LRDIMM, DRAMModule, FRFCFSController
 from repro.interconnect.network import PacketNetwork
 from repro.interconnect.topology import Topology
 from repro.sim import BandwidthResource, Simulator, StatRegistry
@@ -50,51 +49,6 @@ def bench_engine_churn(quick: bool) -> Dict[str, object]:
     start = time.perf_counter()
     sim.run()
     return _result("engine_churn", n, time.perf_counter() - start)
-
-
-# -- FR-FCFS -----------------------------------------------------------------------
-
-
-def _frfcfs_run(legacy: bool, n: int, window: int) -> float:
-    """Wall time for one deep-queue FR-FCFS drain (fixed seed)."""
-    sim = Simulator()
-    module = DRAMModule(sim, DDR4_2400_LRDIMM, 4, StatRegistry())
-    controller = FRFCFSController(
-        sim, module, reorder_window=window, legacy_scan=legacy
-    )
-    rng = random.Random(11)
-    timing = DDR4_2400_LRDIMM
-    hot_stride = timing.row_bytes * timing.banks_per_rank
-    span = 4 * timing.banks_per_rank * 256 * timing.row_bytes // 64
-    # deep queue, miss-heavy: the shape where scheduling cost dominates
-    for _ in range(n):
-        if rng.random() < 0.2:
-            offset = rng.choice((0, 3, 11)) * hot_stride + rng.randrange(
-                0, timing.row_bytes // 64
-            ) * 64
-        else:
-            offset = rng.randrange(0, span) * 64
-        controller.submit(offset, 64, rng.random() < 0.3)
-    start = time.perf_counter()
-    sim.run()
-    return time.perf_counter() - start
-
-
-def bench_frfcfs(quick: bool) -> Dict[str, object]:
-    """Indexed FR-FCFS drain rate, with the legacy window scan for scale."""
-    n = 4_000 if quick else 20_000
-    window = 256
-    legacy_s = _frfcfs_run(legacy=True, n=n, window=window)
-    indexed_s = _frfcfs_run(legacy=False, n=n, window=window)
-    return _result(
-        "frfcfs",
-        n,
-        indexed_s,
-        window=window,
-        legacy_wall_s=legacy_s,
-        legacy_ops_per_sec=n / legacy_s if legacy_s > 0 else 0.0,
-        speedup=legacy_s / indexed_s if indexed_s > 0 else 0.0,
-    )
 
 
 # -- epoch fast-forward ------------------------------------------------------------
@@ -276,7 +230,6 @@ def bench_headline_tiny(quick: bool) -> Dict[str, object]:
 BENCHES: Dict[str, Bench] = {
     "engine_churn": bench_engine_churn,
     "epoch_fastforward": bench_epoch_fastforward,
-    "frfcfs": bench_frfcfs,
     "route_lookup": bench_route_lookup,
     "network_p2p": bench_network_p2p,
     "network_broadcast": bench_network_broadcast,

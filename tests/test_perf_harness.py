@@ -34,7 +34,7 @@ def test_calibration_reports_positive_throughput():
 
 def test_bench_registry_names():
     assert set(CHECK_FLOORS) <= set(BENCHES)
-    assert {"frfcfs", "route_lookup", "engine_churn"} <= set(BENCHES)
+    assert {"epoch_fastforward", "route_lookup", "engine_churn"} <= set(BENCHES)
 
 
 @pytest.mark.parametrize("name", ["engine_churn", "route_lookup"])
@@ -86,10 +86,10 @@ def test_cli_writes_report_and_returns_zero(tmp_path, capsys):
 
 def test_cli_check_passes_on_route_lookup_floor(tmp_path):
     """route_lookup's quick-mode speedup comfortably clears its floor; a
-    frfcfs floor failure is reported, not raised."""
+    missing epoch_fastforward floor is reported, not raised."""
     out = tmp_path / "bench.json"
     code = main(["--quick", "--bench", "route_lookup", "--check", "--out", str(out)])
-    # frfcfs wasn't run, so --check must fail with a clear message...
+    # epoch_fastforward wasn't run, so --check must fail with a clear message...
     assert code == 1
 
     # ...while the measured route_lookup speedup itself clears its floor
