@@ -112,13 +112,6 @@ class PacketNetwork:
                 state.directions.append(link)
         self.watchdog = LinkWatchdog(threshold=watchdog_threshold, name=name)
         self.watchdog.on_dead = self._on_watchdog_dead
-        # inter-DIMM lookahead: nothing a packet does at one hop can
-        # schedule work at the next hop sooner than the SerDes propagation
-        # plus router latency (the per-link BandwidthResources already
-        # contribute wire_latency + 1 each; this is the full-hop bound)
-        sim.register_lookahead(
-            f"{name}.hop", wire_latency_ps + hop_latency_ps + 1
-        )
         # event/process labels are fixed per network: build them once
         # instead of formatting a fresh string on every packet
         self._n_send_self = f"{name}.send.self"

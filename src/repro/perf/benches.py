@@ -1,11 +1,10 @@
 """The individual hot-path microbenchmarks.
 
 Each benchmark returns ``{"name", "ops", "wall_s", "ops_per_sec"}`` plus
-benchmark-specific extras.  The epoch and route-lookup benches also run
-the *pre-refactor* implementation — the legacy per-event loop and a
-faithful re-implementation of the old per-call route computation — so
-the report carries in-PR speedup ratios that CI can assert without a
-recorded machine-specific baseline.
+benchmark-specific extras.  The route-lookup bench also runs a faithful
+re-implementation of the old per-call route computation, so the report
+carries an in-PR speedup ratio that CI can assert without a recorded
+machine-specific baseline.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro.interconnect.network import PacketNetwork
 from repro.interconnect.topology import Topology
-from repro.sim import BandwidthResource, Simulator, StatRegistry
+from repro.sim import Simulator, StatRegistry
 
 Bench = Callable[[bool], Dict[str, object]]
 
@@ -49,61 +48,6 @@ def bench_engine_churn(quick: bool) -> Dict[str, object]:
     start = time.perf_counter()
     sim.run()
     return _result("engine_churn", n, time.perf_counter() - start)
-
-
-# -- epoch fast-forward ------------------------------------------------------------
-
-
-def _grant_storm_drain(legacy: bool, links: int, per_link: int) -> float:
-    """Wall time to drain a deep grant storm under the selected run loop.
-
-    ``links`` serialising bandwidth resources each carry ``per_link``
-    queued transfers whose completion timers are all armed up front: the
-    legacy loop pays one pop from a ``links * per_link``-deep heap per
-    grant, while the epoch loop bulk-expires whole countdown-queue slices
-    per horizon.  Only the drain is timed — submission cost is common to
-    both modes and would dilute the ratio being measured.
-    """
-    sim = Simulator(legacy=legacy)
-    resources = [
-        BandwidthResource(sim, 25.0, latency_ps=2_000_000, name=f"link{i}")
-        for i in range(links)
-    ]
-    for _ in range(per_link):
-        for resource in resources:
-            resource.transfer(64)
-    start = time.perf_counter()
-    sim.run()
-    return time.perf_counter() - start
-
-
-def bench_epoch_fastforward(quick: bool) -> Dict[str, object]:
-    """Epoch-synchronized drain rate vs the legacy one-pop-per-event loop.
-
-    Best of five interleaved repeats per mode: drain wall times are small
-    enough that one scheduler hiccup would otherwise swing the ratio, and
-    the minimum is the standard low-noise estimator for microbenchmarks.
-    """
-    links = 64 if quick else 192
-    per_link = 500 if quick else 400
-    n = links * per_link
-    epoch_times: List[float] = []
-    legacy_times: List[float] = []
-    for _ in range(5):
-        epoch_times.append(_grant_storm_drain(False, links, per_link))
-        legacy_times.append(_grant_storm_drain(True, links, per_link))
-    epoch_s = min(epoch_times)
-    legacy_s = min(legacy_times)
-    return _result(
-        "epoch_fastforward",
-        n,
-        epoch_s,
-        links=links,
-        per_link=per_link,
-        legacy_wall_s=legacy_s,
-        legacy_ops_per_sec=n / legacy_s if legacy_s > 0 else 0.0,
-        speedup=legacy_s / epoch_s if epoch_s > 0 else 0.0,
-    )
 
 
 # -- routing -----------------------------------------------------------------------
@@ -229,7 +173,6 @@ def bench_headline_tiny(quick: bool) -> Dict[str, object]:
 
 BENCHES: Dict[str, Bench] = {
     "engine_churn": bench_engine_churn,
-    "epoch_fastforward": bench_epoch_fastforward,
     "route_lookup": bench_route_lookup,
     "network_p2p": bench_network_p2p,
     "network_broadcast": bench_network_broadcast,

@@ -3,17 +3,13 @@
 from repro.sim.engine import (
     AllOf,
     AnyOf,
-    LookaheadDomain,
     Process,
     SimEvent,
     Simulator,
     StallWatchdog,
-    TimerQueue,
     active_watchdog,
     clear_watchdog,
-    default_loop_legacy,
     install_watchdog,
-    set_default_loop,
 )
 from repro.sim.resource import BandwidthResource, SlotResource
 from repro.sim.stats import Histogram, StatRegistry
@@ -22,17 +18,13 @@ from repro.sim import time
 __all__ = [
     "AllOf",
     "AnyOf",
-    "LookaheadDomain",
     "Process",
     "SimEvent",
     "Simulator",
     "StallWatchdog",
-    "TimerQueue",
     "active_watchdog",
     "clear_watchdog",
-    "default_loop_legacy",
     "install_watchdog",
-    "set_default_loop",
     "BandwidthResource",
     "SlotResource",
     "Histogram",

@@ -14,41 +14,35 @@ is a Python generator that yields one of:
 Events can also *fail* (:meth:`SimEvent.fail`): the exception is thrown
 into every waiting process at its ``yield``, so ordinary ``try/except``
 implements failover across processes.  A process whose generator raises
-fails its ``done`` event when someone is waiting on it, and propagates the
-exception out of :meth:`Simulator.run` otherwise (failures are never
-silent).  :meth:`Process.interrupt` cancels a pending wait by throwing an
-exception into the process at the current time.
+an :class:`Exception` fails its ``done`` event when someone is waiting on
+it, and propagates the exception out of :meth:`Simulator.run` otherwise
+(failures are never silent).  Any other ``BaseException`` —
+``KeyboardInterrupt``, ``SystemExit``, a signal-driven drain request —
+always aborts the run.  :meth:`Process.interrupt` cancels a pending wait
+by throwing an exception into the process at the current time.
 
 The kernel is single-threaded and deterministic: events scheduled at the
 same timestamp fire in scheduling order.
 
-Two run loops drain the queue (``Simulator.run``):
-
-* the **legacy loop** (``legacy=True``): one binary-heap pop per event —
-  the reference implementation, kept verbatim for differential testing;
-* the **epoch fast-forward loop** (the default): a conservative-PDES
-  style batcher.  Components with guaranteed minimum outbound latency
-  (link SerDes, DRAM timing floors) register :class:`LookaheadDomain`
-  lookaheads and park their monotone timers in per-component
-  :class:`TimerQueue` countdown queues (O(1) append, no heap).  Each
-  epoch the engine computes a safe horizon ``t0 + min(lookahead)``,
-  bulk-expires every due timer with one sort, and merges the few
-  intra-epoch arrivals through a small pending heap.  Execution order is
-  the exact global ``(time, seq)`` order of the legacy loop — the two
-  loops are bit-identical by construction, and the horizon only tunes
-  batch size, never correctness (see ``tests/test_epoch_fastforward.py``
-  and DESIGN.md §14).
+One loop drains the work (:meth:`Simulator.run`).  Callbacks due at a
+*future* time wait on a heap of ``(time, seq, callback, arg)``; callbacks
+due *now* — zero-delay schedules, process starts, event resumes — go on a
+FIFO **lane** of ``(callback, arg)`` with no heap traffic.  At each
+timestamp the loop runs the heap entries due now, then the lane, then
+advances the clock to the next heap time.  Every heap entry due now was
+pushed before the clock reached now, so its seq is below every lane
+entry's: the order is exactly the global ``(time, seq)`` order
+(DESIGN.md §14).
 """
 
 from __future__ import annotations
 
 import heapq
 import time
-from bisect import bisect_right
-from typing import Any, Callable, Dict, Generator, Iterable, List, Optional, Tuple
+from collections import deque
+from typing import Any, Callable, Deque, Dict, Generator, Iterable, List, Optional, Tuple
 
 from repro.errors import DeadlockError, SimStallError, SimulationError
-from repro.sim.time import DEFAULT_EPOCH_SPAN_PS, EPOCH_FLOOR_PS
 from repro.trace.recorder import NULL_RECORDER
 
 ProcessGen = Generator[Any, Any, Any]
@@ -57,25 +51,7 @@ ProcessGen = Generator[Any, Any, Any]
 #: "no limit" needs no per-event None check.
 _NO_BOUND = float("inf")
 
-#: process-wide default run loop (False = epoch fast-forward).  Flipped by
-#: :func:`set_default_loop` so whole experiment runs — which construct
-#: their simulators internally — can be replayed under the legacy loop for
-#: differential verification.
-_DEFAULT_LEGACY = False
-
-
-def set_default_loop(legacy: bool) -> bool:
-    """Select the loop new :class:`Simulator` instances use; returns the
-    previous setting (restore it in a ``finally``)."""
-    global _DEFAULT_LEGACY
-    previous = _DEFAULT_LEGACY
-    _DEFAULT_LEGACY = bool(legacy)
-    return previous
-
-
-def default_loop_legacy() -> bool:
-    """Whether new simulators currently default to the legacy loop."""
-    return _DEFAULT_LEGACY
+_heappush = heapq.heappush
 
 
 class StallWatchdog:
@@ -186,6 +162,10 @@ class SimEvent:
     once with an optional value, resuming every waiter.  Calling
     :meth:`fail` instead fires it with an exception, which is thrown into
     every waiting process.
+
+    ``_callbacks`` holds, in registration order, plain callbacks and the
+    :class:`_Waiter` records of suspended processes; firing runs the
+    former and puts the latter's resumes on the simulator's lane.
     """
 
     __slots__ = ("sim", "name", "_value", "_triggered", "_failed", "_callbacks")
@@ -196,7 +176,7 @@ class SimEvent:
         self._value: Any = None
         self._triggered = False
         self._failed = False
-        self._callbacks: List[Callable[["SimEvent"], None]] = []
+        self._callbacks: List[Any] = []
 
     @property
     def triggered(self) -> bool:
@@ -222,9 +202,17 @@ class SimEvent:
             raise SimulationError(f"event {self.name!r} triggered twice")
         self._triggered = True
         self._value = value
-        callbacks, self._callbacks = self._callbacks, []
-        for callback in callbacks:
-            callback(self)
+        callbacks = self._callbacks
+        if callbacks:
+            self._callbacks = []
+            sim = self.sim
+            lane = sim._lane
+            for callback in callbacks:
+                if type(callback) is _Waiter:
+                    sim._seq += 1
+                    lane.append((_resume_waiter, callback))
+                else:
+                    callback(self)
         return self
 
     def fail(self, exc: BaseException) -> "SimEvent":
@@ -239,15 +227,12 @@ class SimEvent:
             )
         if self._triggered:
             raise SimulationError(f"event {self.name!r} triggered twice")
-        self._triggered = True
         self._failed = True
-        self._value = exc
-        callbacks, self._callbacks = self._callbacks, []
-        if not callbacks:
+        if not self._callbacks:
+            self._triggered = True
+            self._value = exc
             raise exc
-        for callback in callbacks:
-            callback(self)
-        return self
+        return self.succeed(exc)
 
     def add_callback(self, callback: Callable[["SimEvent"], None]) -> None:
         """Run ``callback(event)`` when the event fires (now if already fired)."""
@@ -255,6 +240,30 @@ class SimEvent:
             callback(self)
         else:
             self._callbacks.append(callback)
+
+
+class _Waiter:
+    """A process suspended on an event: the wait's *epoch* is frozen here,
+    so a resume whose wait was cancelled in the meantime is dropped."""
+
+    __slots__ = ("process", "epoch", "event")
+
+    def __init__(self, process: "Process", epoch: int, event: SimEvent) -> None:
+        self.process = process
+        self.epoch = epoch
+        self.event = event
+
+    def resume(self) -> None:
+        process = self.process
+        if process._finished or self.epoch != process._epoch:
+            return
+        event = self.event
+        process._advance(event._value, event._failed)
+
+
+#: the lane callback of a fired event's waiter (plain function: no bound
+#: method per resume).
+_resume_waiter = _Waiter.resume
 
 
 class AllOf:
@@ -290,34 +299,47 @@ class Process:
     """A running simulation process wrapping a generator.
 
     The generator's return value becomes :attr:`value`, and :attr:`done`
-    is a :class:`SimEvent` fired on completion.  If the generator raises,
-    ``done`` fails (throwing into any waiter); with no waiter the
-    exception propagates out of :meth:`Simulator.run`.
+    is a :class:`SimEvent` fired on completion.  If the generator raises
+    an :class:`Exception`, ``done`` fails (throwing into any waiter); with
+    no waiter the exception propagates out of :meth:`Simulator.run`, and
+    ``done`` stays untriggered.  ``done`` is built on first use: most
+    processes are fire-and-forget and never need one.
 
-    Every suspension records a wait *epoch*; resume callbacks carry the
-    epoch they were registered under and are ignored once stale.  That is
-    what lets :meth:`interrupt` (and :class:`AnyOf` losers) cancel a
-    pending wait without the resumed process being woken twice.
+    Every suspension records a wait *epoch*; resumes carry the epoch they
+    were registered under and are ignored once stale.  That is what lets
+    :meth:`interrupt` (and :class:`AnyOf` losers) cancel a pending wait
+    without the resumed process being woken twice.
     """
 
-    __slots__ = ("sim", "name", "done", "_gen", "_finished", "_epoch", "_blocked_on")
-
-    # Resume paths are allocation-slim on purpose: a timer wait schedules a
-    # bound method with the epoch as its argument (no closure), and an event
-    # wait registers one closure that defers through the heap via
-    # :meth:`_event_resume` (one tuple) — the deferral is what preserves
-    # same-timestamp FIFO ordering, so it must stay.
+    __slots__ = (
+        "sim", "name", "_done", "_value", "_gen", "_finished", "_epoch", "_blocked_on"
+    )
 
     def __init__(self, sim: "Simulator", gen: ProcessGen, name: str = "") -> None:
         self.sim = sim
         self.name = name or getattr(gen, "__name__", "process")
-        self.done = SimEvent(sim, name=f"{self.name}.done")
+        self._done: Optional[SimEvent] = None
+        self._value: Any = None
         self._gen = gen
         self._finished = False
         self._epoch = 0
         self._blocked_on: Any = None
         sim._live.add(self)
-        sim._schedule_now(self._step, None)
+        sim._seq += 1
+        sim._lane.append((self._advance, None))
+
+    @property
+    def done(self) -> SimEvent:
+        """The completion event (created on first access)."""
+        done = self._done
+        if done is None:
+            done = self._done = SimEvent(self.sim, name=f"{self.name}.done")
+            if self._finished:
+                # a failed process creates its (untriggered) done eagerly,
+                # so finishing without one means the generator returned
+                done._triggered = True
+                done._value = self._value
+        return done
 
     @property
     def finished(self) -> bool:
@@ -346,32 +368,29 @@ class Process:
                 f"process {self.name!r} interrupted with non-exception {exc!r}"
             )
         self.sim._schedule_now(
-            lambda _arg: None if self._finished else self._advance(True, exc), None
+            lambda _arg: None if self._finished else self._advance(exc, True), None
         )
-
-    def _step(self, send_value: Any) -> None:
-        self._advance(False, send_value)
 
     def _resume(self, epoch: int, throw: bool, value: Any) -> None:
         """Resume from a wait registered at ``epoch`` (ignored if stale)."""
         if self._finished or epoch != self._epoch:
             return
-        self._advance(throw, value)
+        self._advance(value, throw)
 
     def _timer_resume(self, epoch: int) -> None:
-        """Heap callback for plain-delay waits (arg is the wait epoch)."""
+        """Callback for plain-delay waits (arg is the wait epoch)."""
         if self._finished or epoch != self._epoch:
             return
-        self._advance(False, None)
+        self._advance(None)
 
-    def _event_resume(self, pair: Tuple[int, "SimEvent"]) -> None:
-        """Heap callback for event waits (arg is ``(epoch, event)``)."""
-        epoch, event = pair
-        if self._finished or epoch != self._epoch:
-            return
-        self._advance(event._failed, event._value)
+    def _advance(self, value: Any, throw: bool = False) -> None:
+        """Resume the generator with ``value`` (thrown in if ``throw``) and
+        register whatever it yields next.
 
-    def _advance(self, throw: bool, value: Any) -> None:
+        The only place a generator is resumed.  Delays and plain events —
+        nearly every wait — are registered inline; the rest go through
+        :meth:`_wait_on`.
+        """
         self._epoch += 1
         try:
             if throw:
@@ -381,39 +400,59 @@ class Process:
         except StopIteration as stop:
             self._finished = True
             self.sim._live.discard(self)
-            self.done.succeed(stop.value)
+            self._value = stop.value
+            if self._done is not None:
+                self._done.succeed(stop.value)
             return
         except BaseException as exc:
             self._finished = True
             self.sim._live.discard(self)
-            # deliver to a waiter if someone is listening, else surface
-            # loudly out of the event loop
-            if self.done._callbacks:
-                self.done.fail(exc)
+            done = self._done
+            if done is None:
+                self._done = SimEvent(self.sim, name=f"{self.name}.done")
+            elif done._callbacks and isinstance(exc, Exception):
+                # deliver to a waiter if someone is listening; anything
+                # else surfaces loudly out of the event loop
+                done.fail(exc)
                 return
             raise
-        self._wait_on(target)
-
-    def _wait_on(self, target: Any) -> None:
-        epoch = self._epoch
         self._blocked_on = target
-        if isinstance(target, int):
-            if target < 0:
+        kind = type(target)
+        if kind is Process:
+            target = target.done
+            kind = SimEvent
+        if kind is int:
+            sim = self.sim
+            if target > 0:
+                sim._seq += 1
+                _heappush(
+                    sim._queue,
+                    (sim._now + target, sim._seq, self._timer_resume, self._epoch),
+                )
+            elif target == 0:
+                sim._seq += 1
+                sim._lane.append((self._timer_resume, self._epoch))
+            else:
                 raise SimulationError(
                     f"process {self.name!r} yielded negative delay {target}"
                 )
-            self.sim.schedule(target, self._timer_resume, epoch)
-        elif isinstance(target, (SimEvent, Process)):
-            event = target.done if isinstance(target, Process) else target
-            event.add_callback(
-                lambda ev, _e=epoch: self.sim._schedule_now(
-                    self._event_resume, (_e, ev)
-                )
-            )
-        elif isinstance(target, AllOf):
-            self._wait_all(target.children, epoch)
+        elif kind is SimEvent:
+            waiter = _Waiter(self, self._epoch, target)
+            if target._triggered:
+                sim = self.sim
+                sim._seq += 1
+                sim._lane.append((_resume_waiter, waiter))
+            else:
+                target._callbacks.append(waiter)
+        else:
+            self._wait_on(target)
+
+    def _wait_on(self, target: Any) -> None:
+        """Register a wait on an :class:`AllOf` or :class:`AnyOf`."""
+        if isinstance(target, AllOf):
+            self._wait_all(target.children, self._epoch)
         elif isinstance(target, AnyOf):
-            self._wait_any(target.children, epoch)
+            self._wait_any(target.children, self._epoch)
         else:
             raise SimulationError(
                 f"process {self.name!r} yielded unsupported {target!r}"
@@ -465,179 +504,27 @@ class Process:
             event.add_callback(on_fire)
 
 
-class LookaheadDomain:
-    """A named source of conservative lookahead.
-
-    A component registers the minimum delay between any event it executes
-    and the earliest event it can schedule in response — a link's
-    propagation latency, a DRAM access-time floor, a refresh interval.
-    The epoch loop advances in batches of ``min`` over all registered
-    lookaheads (floored at :data:`~repro.sim.time.EPOCH_FLOOR_PS`).
-
-    The bound is a *performance hint*, not a safety requirement: arrivals
-    that land inside the active epoch anyway are merged through the
-    pending heap in exact ``(time, seq)`` order, so an optimistic (too
-    large) lookahead can never reorder events — it only shifts work from
-    the batched fast path to the per-event heap path.
-    """
-
-    __slots__ = ("sim", "name", "_lookahead_ps")
-
-    def __init__(self, sim: "Simulator", name: str, lookahead_ps: int) -> None:
-        if lookahead_ps <= 0:
-            raise SimulationError(
-                f"lookahead domain {name!r}: lookahead must be positive, "
-                f"got {lookahead_ps}"
-            )
-        self.sim = sim
-        self.name = name
-        self._lookahead_ps = lookahead_ps
-
-    @property
-    def lookahead_ps(self) -> int:
-        """The domain's current minimum outbound latency."""
-        return self._lookahead_ps
-
-    def update(self, lookahead_ps: int) -> None:
-        """Change the lookahead (e.g. after reconfiguration)."""
-        if lookahead_ps <= 0:
-            raise SimulationError(
-                f"lookahead domain {self.name!r}: lookahead must be positive, "
-                f"got {lookahead_ps}"
-            )
-        self._lookahead_ps = lookahead_ps
-        self.sim._min_lookahead = None  # invalidate the cached minimum
-
-
-class TimerQueue:
-    """A per-component countdown queue of monotone timers.
-
-    Components whose completion times are non-decreasing (a serialising
-    :class:`~repro.sim.resource.BandwidthResource`, a memory controller's
-    in-order issue slots) arm timers here with
-    :meth:`Simulator.at_monotone` instead of the global heap: arming is an
-    O(1) list append, and the epoch loop bulk-expires every timer due
-    within the horizon with one ``bisect`` + slice per queue instead of
-    one heap pop per timer.  A timer that would violate monotonicity is
-    transparently routed to the global heap, so the queue is always safe
-    to use even when a component is only *mostly* in-order.
-    """
-
-    __slots__ = ("name", "_times", "_entries", "_head")
-
-    #: consumed-prefix length that triggers compaction of the backing lists.
-    _COMPACT_AT = 4096
-
-    def __init__(self, name: str = "timers") -> None:
-        self.name = name
-        #: fire times, parallel to ``_entries`` (bisect runs on this).
-        self._times: List[int] = []
-        self._entries: List[Tuple[int, int, Callable[[Any], None], Any]] = []
-        self._head = 0
-
-    @property
-    def pending(self) -> int:
-        """Armed timers not yet expired."""
-        return len(self._times) - self._head
-
-    def head_key(self) -> Optional[Tuple[int, int]]:
-        """``(time, seq)`` of the next timer to fire, or None when empty."""
-        if self._head < len(self._times):
-            entry = self._entries[self._head]
-            return (entry[0], entry[1])
-        return None
-
-    def take_until(
-        self, bound: int
-    ) -> List[Tuple[int, int, Callable[[Any], None], Any]]:
-        """Bulk-expire every timer with ``time <= bound`` (arrival order)."""
-        head = self._head
-        times = self._times
-        cut = bisect_right(times, bound, head)
-        if cut == head:
-            return []
-        if cut == len(times):
-            if head:
-                out = self._entries[head:]
-            else:
-                out = self._entries  # steal the backing list: zero copy
-            self._entries = []
-            self._times = []
-            self._head = 0
-            return out
-        out = self._entries[head:cut]
-        if cut >= self._COMPACT_AT:
-            del times[:cut]
-            del self._entries[:cut]
-            self._head = 0
-        else:
-            self._head = cut
-        return out
-
-    def drain_all(self) -> List[Tuple[int, int, Callable[[Any], None], Any]]:
-        """Remove and return every armed timer (legacy-loop flush)."""
-        out = self._entries[self._head :]
-        self._times.clear()
-        self._entries.clear()
-        self._head = 0
-        return out
-
-    def __repr__(self) -> str:
-        return f"TimerQueue({self.name!r}, pending={self.pending})"
-
-
 class Simulator:
-    """The event loop: a heap of ``(time, seq, callback, arg)`` entries,
-    plus per-component :class:`TimerQueue` countdown queues the epoch
-    fast-forward loop expires in bulk."""
+    """The event loop: a heap of future ``(time, seq, callback, arg)``
+    entries plus a FIFO lane of ``(callback, arg)`` due at the current
+    time."""
 
-    __slots__ = (
-        "_now",
-        "_seq",
-        "_queue",
-        "_live",
-        "trace",
-        "_legacy",
-        "_legacy_active",
-        "_fifos",
-        "_fifo_heap",
-        "_pending",
-        "_epoch_end",
-        "_batch",
-        "_batch_pos",
-        "_lookaheads",
-        "_min_lookahead",
-    )
+    __slots__ = ("_now", "_seq", "_queue", "_lane", "_live", "trace")
 
-    def __init__(self, legacy: Optional[bool] = None) -> None:
+    def __init__(self) -> None:
         self._now = 0
+        #: scheduled-callback counter: heap tie-break, and the run's event
+        #: count (lane entries take a seq too, so it counts every callback)
         self._seq = 0
+        #: callbacks due after ``now``, ordered by ``(time, seq)``.
         self._queue: List[Tuple[int, int, Callable[[Any], None], Any]] = []
+        #: callbacks due at ``now``, in scheduling order.
+        self._lane: Deque[Tuple[Callable[[Any], None], Any]] = deque()
         #: unfinished processes (diagnostics: who is blocked, and on what).
         self._live: set = set()
         #: observability hook; the shared no-op recorder unless a
         #: :class:`~repro.trace.recorder.TraceRecorder` is installed.
         self.trace = NULL_RECORDER
-        #: which run loop this simulator uses (None -> process default).
-        self._legacy = _DEFAULT_LEGACY if legacy is None else bool(legacy)
-        #: True while a legacy run drains (routes monotone timers to the
-        #: heap so the reference loop stays one-heap-pop-per-event).
-        self._legacy_active = self._legacy
-        #: every registered countdown queue (legacy flush, depth accounting).
-        self._fifos: List[TimerQueue] = []
-        #: index heap of (head_time, head_seq, queue) over non-empty fifos.
-        self._fifo_heap: List[Tuple[int, int, TimerQueue]] = []
-        #: intra-epoch arrivals, merged with the sorted batch in seq order.
-        self._pending: List[Tuple[int, int, Callable[[Any], None], Any]] = []
-        #: horizon of the epoch currently executing (-1 outside one);
-        #: schedule calls compare against it to route arrivals.
-        self._epoch_end = -1
-        #: batch being executed (diagnostics only; see ``_queued_events``).
-        self._batch: Optional[List[Tuple[int, int, Callable[[Any], None], Any]]] = None
-        self._batch_pos = 0
-        self._lookaheads: List[LookaheadDomain] = []
-        #: cached min over domain lookaheads (None -> recompute).
-        self._min_lookahead: Optional[int] = None
 
     @property
     def now(self) -> int:
@@ -655,13 +542,8 @@ class Simulator:
         )
 
     def _queued_events(self) -> int:
-        """Every scheduled-but-unexecuted event across all structures."""
-        depth = len(self._queue) + len(self._pending)
-        for fifo in self._fifos:
-            depth += fifo.pending
-        if self._batch is not None:
-            depth += len(self._batch) - self._batch_pos
-        return depth
+        """Every scheduled-but-unexecuted callback, heap and lane."""
+        return len(self._queue) + len(self._lane)
 
     def snapshot(self, events_processed: int = 0) -> Dict[str, Any]:
         """Diagnostic state dump used by stall/deadlock reports."""
@@ -680,93 +562,31 @@ class Simulator:
 
     def schedule(self, delay: int, callback: Callable[[Any], None], arg: Any = None) -> None:
         """Run ``callback(arg)`` after ``delay`` picoseconds."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        self._seq += 1
-        time = self._now + delay
-        if time <= self._epoch_end:
-            heapq.heappush(self._pending, (time, self._seq, callback, arg))
+        if delay > 0:
+            self._seq += 1
+            _heappush(self._queue, (self._now + delay, self._seq, callback, arg))
+        elif delay == 0:
+            self._seq += 1
+            self._lane.append((callback, arg))
         else:
-            heapq.heappush(self._queue, (time, self._seq, callback, arg))
+            raise SimulationError(f"cannot schedule in the past (delay={delay})")
 
     def at(self, time: int, callback: Callable[[Any], None], arg: Any = None) -> None:
         """Run ``callback(arg)`` at absolute time ``time``."""
-        if time < self._now:
+        if time > self._now:
+            self._seq += 1
+            _heappush(self._queue, (time, self._seq, callback, arg))
+        elif time == self._now:
+            self._seq += 1
+            self._lane.append((callback, arg))
+        else:
             raise SimulationError(
                 f"cannot schedule in the past (delay={time - self._now})"
             )
-        self._seq += 1
-        if time <= self._epoch_end:
-            heapq.heappush(self._pending, (time, self._seq, callback, arg))
-        else:
-            heapq.heappush(self._queue, (time, self._seq, callback, arg))
 
     def _schedule_now(self, callback: Callable[[Any], None], arg: Any) -> None:
         self._seq += 1
-        if self._now <= self._epoch_end:
-            heapq.heappush(self._pending, (self._now, self._seq, callback, arg))
-        else:
-            heapq.heappush(self._queue, (self._now, self._seq, callback, arg))
-
-    # -- lookahead + countdown queues (epoch fast-forward) --------------------------
-
-    def register_lookahead(self, name: str, lookahead_ps: int) -> LookaheadDomain:
-        """Register a conservative-lookahead domain; returns its handle."""
-        domain = LookaheadDomain(self, name, lookahead_ps)
-        self._lookaheads.append(domain)
-        self._min_lookahead = None
-        return domain
-
-    def timer_queue(self, name: str = "timers") -> TimerQueue:
-        """Create a countdown queue for :meth:`at_monotone` timers."""
-        fifo = TimerQueue(name)
-        self._fifos.append(fifo)
-        return fifo
-
-    def at_monotone(
-        self,
-        fifo: TimerQueue,
-        time: int,
-        callback: Callable[[Any], None],
-        arg: Any = None,
-    ) -> None:
-        """Run ``callback(arg)`` at ``time`` via a countdown queue.
-
-        Semantically identical to :meth:`at` — same global ``(time, seq)``
-        execution order — but O(1) when ``time`` does not precede the
-        queue's newest timer.  Out-of-order timers, arrivals inside the
-        epoch currently executing, and legacy-loop runs all fall back to
-        the appropriate heap transparently.
-        """
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule in the past (delay={time - self._now})"
-            )
-        self._seq += 1
-        if time <= self._epoch_end:
-            heapq.heappush(self._pending, (time, self._seq, callback, arg))
-            return
-        times = fifo._times
-        if self._legacy_active or (times and time < times[-1]):
-            heapq.heappush(self._queue, (time, self._seq, callback, arg))
-            return
-        if fifo._head == len(times):
-            heapq.heappush(self._fifo_heap, (time, self._seq, fifo))
-        times.append(time)
-        fifo._entries.append((time, self._seq, callback, arg))
-
-    def _epoch_span(self) -> int:
-        """Safe horizon length: min over domain lookaheads, floored."""
-        span = self._min_lookahead
-        if span is None:
-            if self._lookaheads:
-                span = min(d._lookahead_ps for d in self._lookaheads)
-            else:
-                span = DEFAULT_EPOCH_SPAN_PS
-            if span < EPOCH_FLOOR_PS:
-                span = EPOCH_FLOOR_PS
-            self._min_lookahead = span
-        return span
+        self._lane.append((callback, arg))
 
     def process(self, gen: ProcessGen, name: str = "") -> Process:
         """Start a new process from a generator and return its handle."""
@@ -783,7 +603,6 @@ class Simulator:
         until: Optional[int] = None,
         max_events: Optional[int] = None,
         watchdog: Optional[StallWatchdog] = None,
-        legacy: Optional[bool] = None,
     ) -> int:
         """Drain the event queue; return the final simulation time.
 
@@ -802,20 +621,57 @@ class Simulator:
         snapshot), and — when ``detect_deadlock`` is set — a structured
         :class:`~repro.errors.DeadlockError` naming the waiting
         processes if the queue drains while some are still suspended.
-
-        ``legacy`` selects the run loop for this call (default: the
-        simulator's construction-time choice, which itself defaults to
-        the process-wide :func:`set_default_loop` setting).  Both loops
-        execute the identical global ``(time, seq)`` event order; the
-        epoch loop just gets there with batched timer expiry.
         """
         if watchdog is None:
             watchdog = _ACTIVE_WATCHDOG
-        use_legacy = self._legacy if legacy is None else legacy
-        if use_legacy:
-            processed = self._run_legacy(until, max_events, watchdog)
-        else:
-            processed = self._run_epoch(until, max_events, watchdog)
+        processed = 0
+        trace = self.trace
+        tracing = trace.enabled
+        check_every = (
+            watchdog.check_interval_events
+            if watchdog is not None and watchdog.deadline is not None
+            else 0
+        )
+        # hot loop: loop invariants live in locals, the horizon/budget
+        # guards compare against +inf sentinels, and watchdog polling is
+        # amortized onto a next-check threshold
+        queue = self._queue
+        lane = self._lane
+        pop = heapq.heappop
+        popleft = lane.popleft
+        horizon = until if until is not None else _NO_BOUND
+        budget = max_events if max_events is not None else _NO_BOUND
+        next_check = check_every if check_every else _NO_BOUND
+        now = self._now
+        if now <= horizon:  # until < now: nothing may run, lane included
+            while True:
+                if queue and queue[0][0] <= now:
+                    pass  # a heap entry due now precedes the whole lane
+                elif lane:
+                    if processed >= budget:
+                        raise SimulationError(f"exceeded max_events={max_events}")
+                    callback, arg = popleft()
+                    callback(arg)
+                    processed += 1
+                    if processed >= next_check:
+                        watchdog.check(self, processed)
+                        next_check += check_every
+                    continue
+                elif queue and queue[0][0] <= horizon:
+                    # nothing left at now: advance to the next heap time
+                    self._now = now = queue[0][0]
+                    if tracing:
+                        trace.on_time_advance(now)
+                else:
+                    break
+                if processed >= budget:
+                    raise SimulationError(f"exceeded max_events={max_events}")
+                entry = pop(queue)
+                entry[2](entry[3])
+                processed += 1
+                if processed >= next_check:
+                    watchdog.check(self, processed)
+                    next_check += check_every
         if (
             watchdog is not None
             and watchdog.detect_deadlock
@@ -835,180 +691,6 @@ class Simulator:
             if self.trace.enabled:
                 self.trace.on_time_advance(until)
         return self._now
-
-    def _run_legacy(
-        self,
-        until: Optional[int],
-        max_events: Optional[int],
-        watchdog: Optional[StallWatchdog],
-    ) -> int:
-        """Reference loop: one heap pop per event (kept for differential
-        verification of the epoch loop; ``legacy=True``)."""
-        processed = 0
-        trace = self.trace
-        tracing = trace.enabled
-        check_every = (
-            watchdog.check_interval_events
-            if watchdog is not None and watchdog.deadline is not None
-            else 0
-        )
-        # hot loop: everything loop-invariant is hoisted into locals, the
-        # horizon/budget guards become plain comparisons against +inf
-        # sentinels, and watchdog polling is amortized onto a next-check
-        # threshold instead of a modulo per event.  Semantics (event order,
-        # clock movement, error behaviour) are identical to the plain loop.
-        queue = self._queue
-        pop = heapq.heappop
-        # countdown queues may hold timers armed before this run (or by a
-        # previous epoch-mode run): fold them into the heap once, then
-        # route new arrivals straight to the heap for the drain.
-        pending_extras = self._pending
-        for fifo in self._fifos:
-            pending_extras.extend(fifo.drain_all())
-        if pending_extras:
-            queue.extend(pending_extras)
-            heapq.heapify(queue)
-            self._pending = []
-        self._fifo_heap.clear()
-        self._legacy_active = True
-        horizon = until if until is not None else _NO_BOUND
-        budget = max_events if max_events is not None else _NO_BOUND
-        next_check = check_every if check_every else _NO_BOUND
-        try:
-            while queue:
-                entry = queue[0]
-                time = entry[0]
-                if time > horizon:
-                    break
-                if processed >= budget:
-                    raise SimulationError(f"exceeded max_events={max_events}")
-                pop(queue)
-                if tracing and time != self._now:
-                    self._now = time
-                    trace.on_time_advance(time)
-                else:
-                    self._now = time
-                entry[2](entry[3])
-                processed += 1
-                if processed >= next_check:
-                    watchdog.check(self, processed)
-                    next_check += check_every
-        finally:
-            self._legacy_active = self._legacy
-        return processed
-
-    def _run_epoch(
-        self,
-        until: Optional[int],
-        max_events: Optional[int],
-        watchdog: Optional[StallWatchdog],
-    ) -> int:
-        """Epoch-synchronized fast-forward loop (the default).
-
-        Repeats: find the next event time ``t0``, open an epoch up to
-        ``t0 + min(lookahead)``, bulk-expire every heap entry and every
-        countdown-queue timer due inside it, sort the batch once, and
-        execute it while merging intra-epoch arrivals through a small
-        pending heap.  The merge makes the horizon safe by construction:
-        every callback runs in the same global ``(time, seq)`` order the
-        legacy loop would have used.
-        """
-        processed = 0
-        trace = self.trace
-        tracing = trace.enabled
-        check_every = (
-            watchdog.check_interval_events
-            if watchdog is not None and watchdog.deadline is not None
-            else 0
-        )
-        queue = self._queue
-        fifo_heap = self._fifo_heap
-        pending = self._pending
-        pop = heapq.heappop
-        push = heapq.heappush
-        horizon = until if until is not None else _NO_BOUND
-        budget = max_events if max_events is not None else _NO_BOUND
-        next_check = check_every if check_every else _NO_BOUND
-        while pending:  # leftovers from an interrupted previous run
-            push(queue, pop(pending))
-        while True:
-            # --- next epoch start: earliest heap entry or countdown head
-            t0 = queue[0][0] if queue else _NO_BOUND
-            while fifo_heap:
-                head_time, head_seq, fifo = fifo_heap[0]
-                key = fifo.head_key()
-                if key != (head_time, head_seq):
-                    # stale index entry (queue emptied or head consumed)
-                    pop(fifo_heap)
-                    if key is not None:
-                        push(fifo_heap, (key[0], key[1], fifo))
-                    continue
-                if head_time < t0:
-                    t0 = head_time
-                break
-            if t0 is _NO_BOUND or t0 > horizon:
-                break
-            epoch_end = t0 + self._epoch_span()
-            if epoch_end > horizon:
-                epoch_end = until  # horizon is finite here iff until is
-            # --- gather: bulk-expire everything due inside the epoch
-            batch = []
-            while queue and queue[0][0] <= epoch_end:
-                batch.append(pop(queue))
-            while fifo_heap and fifo_heap[0][0] <= epoch_end:
-                _t, _s, fifo = pop(fifo_heap)
-                batch.extend(fifo.take_until(epoch_end))
-                key = fifo.head_key()
-                if key is not None:
-                    push(fifo_heap, (key[0], key[1], fifo))
-            batch.sort()
-            # --- execute, merging intra-epoch arrivals in (time, seq) order
-            self._epoch_end = epoch_end
-            self._batch = batch
-            self._batch_pos = 0
-            index = 0
-            size = len(batch)
-            try:
-                while True:
-                    if pending:
-                        if index < size and batch[index] < pending[0]:
-                            entry = batch[index]
-                            index += 1
-                        else:
-                            entry = pop(pending)
-                    elif index < size:
-                        entry = batch[index]
-                        index += 1
-                    else:
-                        break
-                    if processed >= budget:
-                        push(queue, entry)
-                        raise SimulationError(f"exceeded max_events={max_events}")
-                    time = entry[0]
-                    if tracing and time != self._now:
-                        self._now = time
-                        trace.on_time_advance(time)
-                    else:
-                        self._now = time
-                    entry[2](entry[3])
-                    processed += 1
-                    if processed >= next_check:
-                        self._batch_pos = index
-                        watchdog.check(self, processed)
-                        next_check += check_every
-            except BaseException:
-                # restore unexecuted work so diagnostics (and any caller
-                # that resumes after a stall) see a consistent queue
-                for entry in batch[index:]:
-                    push(queue, entry)
-                while pending:
-                    push(queue, pop(pending))
-                raise
-            finally:
-                self._epoch_end = -1
-                self._batch = None
-                self._batch_pos = 0
-        return processed
 
     def run_process(self, gen: ProcessGen, name: str = "") -> Any:
         """Convenience: start a process, run to completion, return its value."""

@@ -54,11 +54,6 @@ class BandwidthResource:
         # rebuild them per call
         self._n_transfer = f"{name}.transfer"
         self._n_occupy = f"{name}.occupy"
-        # serialisation makes grant times monotone, so completions ride a
-        # countdown queue the epoch loop bulk-expires; the propagation
-        # latency is this medium's conservative lookahead contribution
-        self._timers = sim.timer_queue(name)
-        self._lookahead = sim.register_lookahead(name, latency_ps + 1)
 
     def set_background_load(self, fraction: float) -> None:
         """Reserve a constant fraction of the medium for background traffic.
@@ -110,8 +105,8 @@ class BandwidthResource:
         self.busy_ps += duration
         self.bytes_moved += nbytes
         self.transfers += 1
-        event = self.sim.event(name=self._n_transfer)
-        self.sim.at_monotone(self._timers, end + self.latency_ps, event.succeed, nbytes)
+        event = SimEvent(self.sim, self._n_transfer)
+        self.sim.at(end + self.latency_ps, event.succeed, nbytes)
         return event
 
     def occupy(self, duration_ps: int) -> SimEvent:
@@ -123,11 +118,8 @@ class BandwidthResource:
         self._free_at = end
         self.busy_ps += duration_ps
         self.transfers += 1
-        event = self.sim.event(name=self._n_occupy)
-        # occupy grants fire without the propagation latency, so they can
-        # land earlier than an in-flight transfer completion; at_monotone
-        # detects that and routes the stragglers to the heap
-        self.sim.at_monotone(self._timers, end, event.succeed, None)
+        event = SimEvent(self.sim, self._n_occupy)
+        self.sim.at(end, event.succeed, None)
         return event
 
 
@@ -148,6 +140,9 @@ class SlotResource:
         self._waiters: Deque[SimEvent] = deque()
         self.peak_in_use = 0
         self._n_acquire = f"{name}.acquire"
+        #: what every uncontended acquire returns: one already-fired grant
+        #: shared by all of them (a waiter only reads a fired event)
+        self._granted = SimEvent(sim, name=self._n_acquire).succeed(None)
 
     @property
     def in_use(self) -> int:
@@ -156,13 +151,14 @@ class SlotResource:
 
     def acquire(self) -> SimEvent:
         """Returns an event that fires once a slot has been granted."""
-        event = self.sim.event(name=self._n_acquire)
         if self._available > 0:
             self._available -= 1
-            self.peak_in_use = max(self.peak_in_use, self.in_use)
-            event.succeed(None)
-        else:
-            self._waiters.append(event)
+            in_use = self.capacity - self._available
+            if in_use > self.peak_in_use:
+                self.peak_in_use = in_use
+            return self._granted
+        event = SimEvent(self.sim, name=self._n_acquire)
+        self._waiters.append(event)
         return event
 
     def release(self) -> None:

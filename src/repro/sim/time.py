@@ -19,19 +19,6 @@ import math
 
 #: One picosecond (the base unit).
 PS: int = 1
-
-# -- epoch fast-forward tuning (see repro.sim.engine) ------------------------
-
-#: Minimum epoch span for the fast-forward run loop.  Components with
-#: degenerate lookahead (a zero-latency bus registers ``latency + 1``)
-#: would otherwise shrink epochs to single events; the floor keeps batches
-#: worth sorting.  Correctness never depends on this value — intra-epoch
-#: arrivals are merged in exact ``(time, seq)`` order regardless.
-EPOCH_FLOOR_PS: int = 2_000
-
-#: Epoch span used when no lookahead domain is registered at all (pure
-#: process/timer simulations with no modelled hardware latencies).
-DEFAULT_EPOCH_SPAN_PS: int = 50_000
 #: Picoseconds per nanosecond.
 NS: int = 1_000
 #: Picoseconds per microsecond.

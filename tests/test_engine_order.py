@@ -1,0 +1,562 @@
+"""Reference-order test for the event loop.
+
+:mod:`repro.sim.engine` runs same-time work from a FIFO lane, registers
+event waits as slotted waiter records, builds ``Process.done`` lazily and
+hands out shared pre-fired grants.  The referee below is the kernel it
+replaced, kept deliberately naive: every schedule — same-time ones
+included — is a heap push, every wait registers a closure, and ``done``
+is created eagerly.  Seeded random process programs drive both kernels
+through zero-delay and at-now callbacks, waits on fired events and
+finished processes, ``AllOf``/``AnyOf`` with failures, interrupts,
+``run(until=)`` segments (including ``until < now``), exact
+``max_events`` budgets, watchdog checks and deadlock detection.  The
+callback order, clock values, final ``_seq``, return values and
+exceptions must be identical.
+"""
+
+import heapq
+import random
+from typing import Any, List
+
+import pytest
+
+from repro.errors import DeadlockError, SimStallError, SimulationError
+from repro.sim import engine as lane_kernel
+from repro.sim.engine import StallWatchdog
+
+# -- the referee: one heap push per schedule, closures, eager done -----------------
+
+
+def _describe_wait(target: Any) -> str:
+    if isinstance(target, int):
+        return f"delay {target}ps"
+    if isinstance(target, Process):
+        return f"process {target.name!r}"
+    if isinstance(target, SimEvent):
+        return f"event {target.name!r}"
+    if isinstance(target, AllOf):
+        return f"AllOf({len(target.children)} children)"
+    if isinstance(target, AnyOf):
+        return f"AnyOf({len(target.children)} children)"
+    return "nothing (not yet waiting)" if target is None else repr(target)
+
+
+class SimEvent:
+    def __init__(self, sim, name=""):
+        self.sim = sim
+        self.name = name
+        self._value = None
+        self._triggered = False
+        self._failed = False
+        self._callbacks = []
+
+    @property
+    def triggered(self):
+        return self._triggered
+
+    @property
+    def failed(self):
+        return self._failed
+
+    @property
+    def value(self):
+        return self._value
+
+    def succeed(self, value=None):
+        if self._triggered:
+            raise SimulationError(f"event {self.name!r} triggered twice")
+        self._triggered = True
+        self._value = value
+        callbacks, self._callbacks = self._callbacks, []
+        for callback in callbacks:
+            callback(self)
+        return self
+
+    def fail(self, exc):
+        if self._triggered:
+            raise SimulationError(f"event {self.name!r} triggered twice")
+        self._triggered = True
+        self._failed = True
+        self._value = exc
+        callbacks, self._callbacks = self._callbacks, []
+        if not callbacks:
+            raise exc
+        for callback in callbacks:
+            callback(self)
+        return self
+
+    def add_callback(self, callback):
+        if self._triggered:
+            callback(self)
+        else:
+            self._callbacks.append(callback)
+
+
+class AllOf:
+    def __init__(self, children):
+        self.children = list(children)
+
+
+class AnyOf:
+    def __init__(self, children):
+        self.children = list(children)
+        if not self.children:
+            raise SimulationError("AnyOf needs at least one child")
+
+
+class Process:
+    def __init__(self, sim, gen, name=""):
+        self.sim = sim
+        self.name = name or getattr(gen, "__name__", "process")
+        self.done = SimEvent(sim, name=f"{self.name}.done")
+        self._gen = gen
+        self._finished = False
+        self._epoch = 0
+        self._blocked_on = None
+        sim._live.add(self)
+        sim._schedule_now(lambda _arg: self._advance(False, None), None)
+
+    @property
+    def finished(self):
+        return self._finished
+
+    @property
+    def value(self):
+        return self.done.value
+
+    def waiting_on(self):
+        return "finished" if self._finished else _describe_wait(self._blocked_on)
+
+    def interrupt(self, exc):
+        self.sim._schedule_now(
+            lambda _arg: None if self._finished else self._advance(True, exc), None
+        )
+
+    def _resume(self, epoch, throw, value):
+        if self._finished or epoch != self._epoch:
+            return
+        self._advance(throw, value)
+
+    def _advance(self, throw, value):
+        self._epoch += 1
+        try:
+            target = self._gen.throw(value) if throw else self._gen.send(value)
+        except StopIteration as stop:
+            self._finished = True
+            self.sim._live.discard(self)
+            self.done.succeed(stop.value)
+            return
+        except BaseException as exc:
+            self._finished = True
+            self.sim._live.discard(self)
+            if self.done._callbacks:
+                self.done.fail(exc)
+                return
+            raise
+        self._wait_on(target)
+
+    def _wait_on(self, target):
+        epoch = self._epoch
+        self._blocked_on = target
+        if isinstance(target, int):
+            if target < 0:
+                raise SimulationError(
+                    f"process {self.name!r} yielded negative delay {target}"
+                )
+            self.sim.schedule(target, lambda _arg: self._resume(epoch, False, None))
+        elif isinstance(target, (SimEvent, Process)):
+            event = target.done if isinstance(target, Process) else target
+            event.add_callback(
+                lambda ev: self.sim._schedule_now(
+                    lambda _arg: self._resume(epoch, ev.failed, ev.value), None
+                )
+            )
+        elif isinstance(target, AllOf):
+            self._wait_all(target.children, epoch)
+        elif isinstance(target, AnyOf):
+            self._wait_any(target.children, epoch)
+        else:
+            raise SimulationError(f"process {self.name!r} yielded unsupported {target!r}")
+
+    def _wait_all(self, children, epoch):
+        pending = len(children)
+        if pending == 0:
+            self.sim._schedule_now(lambda _arg: self._resume(epoch, False, []), None)
+            return
+        results: List[Any] = [None] * pending
+        remaining = [pending]
+
+        def on_done(index, ev):
+            if ev.failed:
+                self.sim._schedule_now(
+                    lambda _arg: self._resume(epoch, True, ev.value), None
+                )
+                return
+            results[index] = ev.value
+            remaining[0] -= 1
+            if remaining[0] == 0:
+                self.sim._schedule_now(
+                    lambda _arg: self._resume(epoch, False, results), None
+                )
+
+        for index, child in enumerate(children):
+            event = child.done if isinstance(child, Process) else child
+            event.add_callback(lambda ev, i=index: on_done(i, ev))
+
+    def _wait_any(self, children, epoch):
+        delivered = [False]
+
+        def on_fire(ev):
+            if delivered[0]:
+                return
+            delivered[0] = True
+            self.sim._schedule_now(
+                lambda _arg: self._resume(epoch, ev.failed, ev.value), None
+            )
+
+        for child in children:
+            event = child.done if isinstance(child, Process) else child
+            event.add_callback(on_fire)
+
+
+class Simulator:
+    def __init__(self):
+        self._now = 0
+        self._seq = 0
+        self._queue = []
+        self._live = set()
+
+    @property
+    def now(self):
+        return self._now
+
+    def blocked_processes(self):
+        return sorted((p.name, p.waiting_on()) for p in self._live)
+
+    def _queued_events(self):
+        return len(self._queue)
+
+    def snapshot(self, events_processed=0):
+        blocked = self.blocked_processes()
+        return {
+            "time_ps": self._now,
+            "events_processed": events_processed,
+            "queue_depth": self._queued_events(),
+            "live_processes": len(blocked),
+            "blocked": blocked[:16],
+        }
+
+    def event(self, name=""):
+        return SimEvent(self, name=name)
+
+    def schedule(self, delay, callback, arg=None):
+        if delay < 0:
+            raise SimulationError(f"cannot schedule in the past (delay={delay})")
+        self._seq += 1
+        heapq.heappush(self._queue, (self._now + delay, self._seq, callback, arg))
+
+    def at(self, time, callback, arg=None):
+        if time < self._now:
+            raise SimulationError(
+                f"cannot schedule in the past (delay={time - self._now})"
+            )
+        self._seq += 1
+        heapq.heappush(self._queue, (time, self._seq, callback, arg))
+
+    def _schedule_now(self, callback, arg):
+        self._seq += 1
+        heapq.heappush(self._queue, (self._now, self._seq, callback, arg))
+
+    def process(self, gen, name=""):
+        return Process(self, gen, name=name)
+
+    def timeout(self, delay, value=None):
+        event = SimEvent(self, name="timeout")
+        self.schedule(delay, event.succeed, value)
+        return event
+
+    def run(self, until=None, max_events=None, watchdog=None):
+        processed = 0
+        check_every = (
+            watchdog.check_interval_events
+            if watchdog is not None and watchdog.deadline is not None
+            else 0
+        )
+        queue = self._queue
+        while queue:
+            time = queue[0][0]
+            if until is not None and time > until:
+                break
+            if max_events is not None and processed >= max_events:
+                raise SimulationError(f"exceeded max_events={max_events}")
+            entry = heapq.heappop(queue)
+            self._now = time
+            entry[2](entry[3])
+            processed += 1
+            if check_every and processed % check_every == 0:
+                watchdog.check(self, processed)
+        if watchdog is not None and watchdog.detect_deadlock and not queue:
+            blocked = self.blocked_processes()
+            if blocked:
+                detail = "; ".join(f"{name} <- {wait}" for name, wait in blocked[:8])
+                raise DeadlockError(
+                    f"event queue drained at t={self._now}ps with "
+                    f"{len(blocked)} blocked process(es): {detail}",
+                    blocked=blocked,
+                    time_ps=self._now,
+                )
+        if until is not None and until > self._now:
+            self._now = until
+        return self._now
+
+
+class _Referee:
+    """Namespace with the same names the programs use from a kernel."""
+
+    Simulator = Simulator
+    AllOf = AllOf
+    AnyOf = AnyOf
+
+
+KERNELS = {"lane": lane_kernel, "referee": _Referee}
+
+# -- seeded random process programs -------------------------------------------------
+
+
+class Interrupted(Exception):
+    pass
+
+
+OPS = (
+    "sleep", "sched", "at_now", "at", "event", "wait_event", "spawn",
+    "wait_proc", "allof", "anyof", "interrupt", "fire", "raise",
+)
+
+
+def make_program(rng, depth, chaos):
+    steps = []
+    for _ in range(rng.randint(2, 8)):
+        op = rng.choice(OPS)
+        if op == "sleep":
+            steps.append(("sleep", rng.choice((0, 0, 1, 3, 8))))
+        elif op == "sched":
+            steps.append(("sched", rng.choice((0, 0, 2, 5))))
+        elif op == "at_now":
+            steps.append(("at_now",))
+        elif op == "at":
+            steps.append(("at", rng.choice((0, 1, 4, 9))))
+        elif op == "event":
+            steps.append(("event", rng.choice((0, 0, 2, 6)), chaos and rng.random() < 0.3))
+        elif op in ("wait_event", "wait_proc", "interrupt", "fire"):
+            steps.append((op, rng.randrange(64)))
+        elif op == "spawn" and depth < 2:
+            steps.append(("spawn", make_program(rng, depth + 1, chaos)))
+        elif op == "allof":
+            steps.append(("allof", [rng.randrange(64) for _ in range(rng.randint(0, 3))]))
+        elif op == "anyof":
+            picks = [rng.randrange(64) for _ in range(rng.randint(1, 3))]
+            steps.append(("anyof", picks, rng.choice((0, 2, 5))))
+        elif op == "raise" and chaos:
+            steps.append(("raise",))
+    return steps
+
+
+class World:
+    """One simulator plus the shared event/process pools its programs use."""
+
+    def __init__(self, kernel, seed, chaos=True):
+        self.kernel = kernel
+        self.sim = kernel.Simulator()
+        self.log = []
+        self.events = []
+        self.procs = []
+        rng = random.Random(seed)
+        for _ in range(rng.randint(2, 5)):
+            self.spawn(make_program(rng, 0, chaos))
+        for i in range(rng.randint(0, 4)):
+            self.sim.schedule(rng.choice((0, 1, 5, 12)), self.note, f"raw{i}")
+        self.horizons = sorted(rng.sample(range(0, 40), 4))
+        self.check_every = rng.randint(3, 9)
+        self.abort_at = rng.choice((None, 2, 5))
+        #: how often the rarer paths were hit (coverage only, not logged)
+        self.seen = dict.fromkeys(
+            ("fired_wait", "finished_wait", "mid_lane_check", "lane_at_deadlock_check"), 0
+        )
+
+    def note(self, tag):
+        self.log.append((self.sim.now, "cb", tag))
+
+    def spawn(self, steps):
+        pid = f"p{len(self.procs)}"
+        self.procs.append(self.sim.process(self.body(pid, steps), name=pid))
+
+    def fire(self, index, fail):
+        event = self.events[index]
+        if event.triggered:
+            return
+        if fail:
+            event.fail(ValueError(f"e{index} failed"))
+        else:
+            event.succeed(("e", index))
+
+    def pool(self, index):
+        pool = self.events + self.procs
+        return pool[index % len(pool)]
+
+    def body(self, pid, steps):
+        sim, log, kernel = self.sim, self.log, self.kernel
+        for n, step in enumerate(steps):
+            op = step[0]
+            if op == "raise":
+                raise ValueError(f"{pid} raised")
+            outcome: Any = None
+            try:
+                if op == "sleep":
+                    outcome = yield step[1]
+                elif op == "sched":
+                    sim.schedule(step[1], self.note, f"{pid}.{n}")
+                elif op == "at_now":
+                    sim.at(sim.now, self.note, f"{pid}.{n}")
+                elif op == "at":
+                    sim.at(sim.now + step[1], self.note, f"{pid}.{n}")
+                elif op == "event":
+                    index = len(self.events)
+                    self.events.append(sim.event(f"e{index}"))
+                    sim.schedule(step[1], lambda _a, i=index, f=step[2]: self.fire(i, f))
+                elif op == "wait_event" and self.events:
+                    event = self.events[step[1] % len(self.events)]
+                    self.seen["fired_wait"] += event.triggered
+                    outcome = yield event
+                elif op == "spawn":
+                    self.spawn(step[1])
+                elif op == "wait_proc":
+                    target = self.procs[step[1] % len(self.procs)]
+                    self.seen["finished_wait"] += target.finished
+                    outcome = yield target
+                elif op == "allof":
+                    outcome = yield kernel.AllOf([self.pool(i) for i in step[1]])
+                elif op == "anyof":
+                    children = [self.pool(i) for i in step[1]]
+                    outcome = yield kernel.AnyOf(children + [sim.timeout(step[2], "t/o")])
+                elif op == "interrupt":
+                    target = self.procs[step[1] % len(self.procs)]
+                    target.interrupt(Interrupted(f"{pid} interrupts {target.name}"))
+                elif op == "fire" and self.events:
+                    self.fire(step[1] % len(self.events), False)
+            except Exception as exc:
+                outcome = ("exc", type(exc).__name__, str(exc))
+            log.append((sim.now, pid, n, op, outcome))
+        return ("ret", pid)
+
+    def run(self, watchdog=None, **kwargs):
+        """One ``run`` call; logs how it ended.  True if it returned."""
+        sim = self.sim
+        try:
+            end = sim.run(watchdog=watchdog, **kwargs)
+        except Exception as exc:
+            self.log.append(("raised", type(exc).__name__, str(exc), sim.now,
+                             sim._seq, sim._queued_events()))
+            return False
+        self.log.append(("ran", end, sim.now, sim._seq, sim._queued_events()))
+        return True
+
+    def outcome(self):
+        return {
+            "log": self.log,
+            "now": self.sim.now,
+            "seq": self.sim._seq,
+            "queued": self.sim._queued_events(),
+            "blocked": self.sim.blocked_processes(),
+            "procs": [(p.finished, repr(p.value)) for p in self.procs],
+            "events": [(e.triggered, e.failed, repr(e.value)) for e in self.events],
+        }
+
+
+class RecordingWatchdog(StallWatchdog):
+    """Logs every periodic check and stalls the run at the ``abort_at``-th."""
+
+    def __init__(self, world):
+        super().__init__(wall_clock_limit_s=3600.0,
+                         check_interval_events=world.check_every)
+        self.world = world
+        self.calls = 0
+
+    def check(self, sim, processed):
+        self.calls += 1
+        self.world.seen["mid_lane_check"] += bool(getattr(sim, "_lane", None))
+        self.world.log.append(("check", processed, sim.now, sim._queued_events()))
+        if self.calls == self.world.abort_at:
+            raise SimStallError("stall probe", snapshot=sim.snapshot(processed))
+
+
+def drive(kernel, seed):
+    world = World(kernel, seed)
+    watchdog = RecordingWatchdog(world)
+    for horizon in world.horizons:
+        world.run(watchdog, until=horizon)
+        if world.sim.now > 0:
+            # until < now: nothing may run, and pending work (lane
+            # included) means no deadlock either
+            world.seen["lane_at_deadlock_check"] += bool(getattr(world.sim, "_lane", None))
+            world.run(StallWatchdog(detect_deadlock=True), until=world.sim.now - 1)
+    for _ in range(64):  # resume after every escaping failure
+        if world.run(watchdog):
+            break
+    world.run(StallWatchdog(detect_deadlock=True))
+    return world.outcome(), world.seen
+
+
+SEEDS = range(60)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_lane_kernel_matches_referee(seed):
+    lane, _ = drive(KERNELS["lane"], seed)
+    referee, _ = drive(KERNELS["referee"], seed)
+    assert lane == referee
+
+
+def test_programs_reach_the_interesting_paths():
+    """The seeds above must actually exercise what they claim to."""
+    seen_total = {}
+    kinds = set()
+    for seed in SEEDS:
+        outcome, seen = drive(KERNELS["lane"], seed)
+        for key, count in seen.items():
+            seen_total[key] = seen_total.get(key, 0) + count
+        for entry in outcome["log"]:
+            if entry[0] in ("check", "ran"):
+                kinds.add(entry[0])
+            elif entry[0] == "raised":
+                kinds.add(entry[1])
+            elif entry[1] == "cb":
+                kinds.add("cb")
+            elif isinstance(entry[4], tuple) and entry[4][0] == "exc":
+                kinds.add(("exc", entry[4][1]))
+    # waits on fired events and finished processes, watchdog checks with
+    # same-time work pending, and deadlock checks with the lane non-empty
+    assert all(count > 0 for count in seen_total.values()), seen_total
+    assert {"check", "ran", "cb"} <= kinds
+    assert {"DeadlockError", "SimStallError", "ValueError"} <= kinds
+    assert {("exc", "Interrupted"), ("exc", "ValueError")} <= kinds
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_exact_max_events_budget(seed):
+    reference = World(_Referee, seed, chaos=False)
+    reference.sim.run()
+    total = reference.sim._seq  # every scheduled callback ran exactly once
+    expected = reference.log[:]
+
+    for kernel in KERNELS.values():
+        world = World(kernel, seed, chaos=False)
+        world.sim.run(max_events=total)  # exactly the budget: no error
+        assert world.log == expected
+
+        world = World(kernel, seed, chaos=False)
+        with pytest.raises(SimulationError, match=f"max_events={total - 1}"):
+            world.sim.run(max_events=total - 1)
+        assert world.sim._queued_events() == 1
+        world.sim.run()
+        assert world.log == expected
+        assert world.sim._seq == total

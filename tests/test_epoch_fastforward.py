@@ -1,230 +1,153 @@
-"""Differential suite for the epoch-synchronized fast-forward loop.
+"""Pinned regression suite for the event loop's observable behaviour.
 
-The epoch loop (:meth:`Simulator._run_epoch`, the default) must be
-observationally indistinguishable from the legacy one-pop-per-event loop
-(``legacy=True``): same callback order, same clock values, same error
-behaviour, same stats, same trace streams — bit-identical, the property
-that lets :data:`repro.results_cache.CODE_VERSION` stay unchanged across
-the refactor.  Every test here runs the same scenario under both loops
-and asserts the observable outcome is equal.
+These probes began as the differential suite of the epoch fast-forward
+loop, which ran every scenario under both that loop and the per-event
+heap loop and asserted equality.  Both loops are gone; the engine now
+has one heap-plus-lane loop (DESIGN.md §14).  Each probe instead checks
+it against digests recorded under the two-loop kernel: callback order,
+clock values, event counts, error behaviour, run results and trace
+streams must stay byte-identical, which is what lets
+:data:`repro.results_cache.CODE_VERSION` stay unchanged.
 """
 
+import hashlib
 import json
 
 import pytest
 
 from repro.errors import DeadlockError, SimulationError
 from repro.experiments.runner import RunSpec, execute_spec
-from repro.sim import (
-    BandwidthResource,
-    Simulator,
-    StallWatchdog,
-    default_loop_legacy,
-    set_default_loop,
-)
+from repro.sim import AllOf, AnyOf, BandwidthResource, Simulator, StallWatchdog
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
 
 # -- engine-level probes -----------------------------------------------------------
 
+#: the probe under the two-loop kernel: log digest, end time, final seq.
+PROBE_LOG_SHA = "2505ecfe48ae9336a500c0c0ccc87bae147f7378048061241a0818b950592478"
+PROBE_END_PS = 1_659_200
+PROBE_EVENTS = 186
 
-def _probe_sim(legacy):
-    """A scenario crossing every scheduling path: countdown-queue timers,
-    plain heap timers, intra-epoch arrival chains, processes, and one
-    deliberately non-monotone timer that must fall back to the heap."""
-    sim = Simulator(legacy=legacy)
+
+def _probe_sim():
+    """A scenario crossing every scheduling path: serialised link
+    completions, plain timers, out-of-order absolute timers, zero-delay
+    and at-now callbacks, processes joined through AnyOf/AllOf, a wait on
+    an already-finished process, and a zero-length sleep."""
+    sim = Simulator()
     log = []
 
     def note(tag):
         log.append((sim.now, tag))
 
     link = BandwidthResource(sim, 10.0, latency_ps=40_000, name="link")
-    aux = sim.timer_queue("aux")
 
     def worker(count, size, tag):
         for i in range(count):
             yield link.transfer(size)
             note(f"{tag}:{i}")
+        return tag
 
-    sim.process(worker(25, 256, "wa"), name="wa")
-    sim.process(worker(25, 192, "wb"), name="wb")
+    wa = sim.process(worker(25, 256, "wa"), name="wa")
+    wb = sim.process(worker(25, 192, "wb"), name="wb")
 
     def chain(depth):
         note(f"chain:{depth}")
         if depth:
-            # 1.5ns < the link's 40ns lookahead: lands inside the open
-            # epoch and must merge through the pending heap
             sim.schedule(1_500, chain, depth - 1)
+            sim.schedule(0, note, f"zero:{depth}")
+            sim.at(sim.now, note, f"now:{depth}")
 
     sim.schedule(3_000, chain, 12)
 
     when = 5_000
     for i in range(30):
-        sim.at_monotone(aux, when, note, f"aux:{i}")
+        sim.at(when, note, f"aux:{i}")
         when += 7_000
-    sim.at_monotone(aux, 12_345, note, "aux:ooo")  # non-monotone -> heap
-
+    sim.at(12_345, note, "aux:ooo")  # earlier than the timers above
     for i in range(10):
         sim.at(9_000 + 17_000 * i, note, f"at:{i}")
+
+    def joiner():
+        first = yield AnyOf([wa, sim.timeout(50_000, "timeout")])
+        note(f"any:{first}")
+        both = yield AllOf([wa, wb])
+        note(f"all:{both}")
+        again = yield wa
+        note(f"again:{again}")
+        yield 0
+        note("slept0")
+
+    sim.process(joiner(), name="joiner")
     return sim, log
 
 
 def test_event_order_is_identical_across_loops():
-    sim_e, log_e = _probe_sim(legacy=False)
-    sim_l, log_l = _probe_sim(legacy=True)
-    end_e = sim_e.run()
-    end_l = sim_l.run()
-    assert log_e  # the probe actually exercised something
-    assert log_e == log_l
-    assert end_e == end_l
+    sim, log = _probe_sim()
+    end = sim.run()
+    assert len(log) == 132
+    assert _sha(repr(log)) == PROBE_LOG_SHA
+    assert end == PROBE_END_PS
+    assert sim._seq == PROBE_EVENTS
 
 
 def test_until_segments_match_single_shot():
-    """Slicing a run into ``until`` segments must not change anything."""
-    sim_one, log_one = _probe_sim(legacy=False)
-    sim_one.run()
-
-    for legacy in (False, True):
-        sim, log = _probe_sim(legacy=legacy)
-        now = 0
-        for horizon in range(20_000, 400_000, 37_000):
-            now = sim.run(until=horizon)
-            assert now == horizon  # clock always lands on the horizon
-        sim.run()
-        assert log == log_one
+    """Slicing a run into ``until`` segments must not change anything,
+    including horizons that land exactly on same-time work."""
+    sim, log = _probe_sim()
+    horizons = sorted(set(range(20_000, 400_000, 37_000)) | {3_000, 4_500, 12_345})
+    for horizon in horizons:
+        assert sim.run(until=horizon) == horizon  # clock lands on the horizon
+    sim.run()
+    assert _sha(repr(log)) == PROBE_LOG_SHA
+    assert sim.now == PROBE_END_PS
 
 
 def test_max_events_budget_parity():
-    n_events = _probe_event_count()
+    # a run completing in exactly max_events events must NOT raise
+    sim, log = _probe_sim()
+    sim.run(max_events=PROBE_EVENTS)
+    assert _sha(repr(log)) == PROBE_LOG_SHA
 
-    for legacy in (False, True):
-        # a run completing in exactly max_events events must NOT raise
-        sim, log = _probe_sim(legacy=legacy)
-        sim.run(max_events=n_events)
-        assert len(log) > 0
-
-        # one short of the budget must raise, and the queue must stay
-        # consistent enough to resume to the identical final state
-        sim, log = _probe_sim(legacy=legacy)
-        with pytest.raises(SimulationError):
-            sim.run(max_events=n_events - 1)
-        sim.run()
-        _sim_ref, log_ref = _probe_sim(legacy=True)
-        _sim_ref.run()
-        assert log == log_ref
-
-
-def _probe_event_count():
-    """Exact number of events the probe executes: the smallest
-    ``max_events`` budget the reference loop completes under."""
-    low, high = 0, 10_000
-    while low < high:
-        mid = (low + high) // 2
-        sim, _log = _probe_sim(legacy=True)
-        try:
-            sim.run(max_events=mid)
-        except SimulationError:
-            low = mid + 1
-        else:
-            high = mid
-    return low
+    # one short of the budget must raise, and the queue must stay
+    # consistent enough to resume to the identical final state
+    sim, log = _probe_sim()
+    with pytest.raises(SimulationError):
+        sim.run(max_events=PROBE_EVENTS - 1)
+    sim.run()
+    assert _sha(repr(log)) == PROBE_LOG_SHA
 
 
 def test_deadlock_detection_parity():
-    messages = []
-    for legacy in (False, True):
-        sim = Simulator(legacy=legacy)
-        never = sim.event(name="never")
-
-        def waiter():
-            yield never
-
-        sim.process(waiter(), name="stuck")
-        sim.schedule(1_000, lambda _arg: None)
-        with pytest.raises(DeadlockError) as excinfo:
-            sim.run(watchdog=StallWatchdog(detect_deadlock=True))
-        messages.append(str(excinfo.value))
-    assert messages[0] == messages[1]
-
-
-def test_default_loop_round_trip():
-    baseline = default_loop_legacy()
-    try:
-        previous = set_default_loop(True)
-        assert previous == baseline
-        assert default_loop_legacy() is True
-        assert Simulator()._legacy is True
-        assert set_default_loop(False) is True
-        assert Simulator()._legacy is False
-    finally:
-        set_default_loop(baseline)
-
-
-def test_lookahead_domain_validation_and_update():
     sim = Simulator()
-    domain = sim.register_lookahead("x", 10_000)
-    assert domain.lookahead_ps == 10_000
-    with pytest.raises(SimulationError):
-        sim.register_lookahead("bad", 0)
-    with pytest.raises(SimulationError):
-        domain.update(-5)
-    domain.update(70_000)
-    assert domain.lookahead_ps == 70_000
+    never = sim.event(name="never")
 
+    def waiter():
+        yield never
 
-# -- TimerQueue unit coverage ------------------------------------------------------
-
-
-def test_timer_queue_take_until_partial_then_steal():
-    sim = Simulator()
-    fifo = sim.timer_queue("t")
-    fired = []
-    for when in (10, 20, 30):
-        sim.at_monotone(fifo, when, fired.append, when)
-    assert fifo.pending == 3
-    assert fifo.head_key()[0] == 10
-
-    first = fifo.take_until(15)  # partial: head advances
-    assert [entry[0] for entry in first] == [10]
-    assert fifo.pending == 2
-
-    rest = fifo.take_until(30)  # consumes through the end with head > 0
-    assert [entry[0] for entry in rest] == [20, 30]
-    assert fifo.pending == 0
-    assert fifo.head_key() is None
-
-    # the queue must be cleanly reusable after the backing lists reset
-    sim.at_monotone(fifo, 40, fired.append, 40)
-    assert fifo.pending == 1
-    stolen = fifo.take_until(100)  # head == 0: the list itself is handed over
-    assert [entry[0] for entry in stolen] == [40]
-    assert fifo.pending == 0
-
-
-def test_timer_queue_compaction_keeps_entries_aligned():
-    sim = Simulator()
-    fifo = sim.timer_queue("big")
-    total = 5_000
-    for when in range(1, total + 1):
-        sim.at_monotone(fifo, when, lambda _a: None, None)
-    taken = fifo.take_until(4_500)  # crosses the compaction threshold
-    assert len(taken) == 4_500
-    assert fifo.pending == 500
-    assert fifo.head_key()[0] == 4_501
-    rest = fifo.take_until(total)
-    assert [entry[0] for entry in rest] == list(range(4_501, total + 1))
+    sim.process(waiter(), name="stuck")
+    sim.schedule(1_000, lambda _arg: None)
+    with pytest.raises(DeadlockError) as excinfo:
+        sim.run(watchdog=StallWatchdog(detect_deadlock=True))
+    assert str(excinfo.value) == (
+        "event queue drained at t=1000ps with 1 blocked process(es): "
+        "stuck <- event 'never'"
+    )
 
 
 def test_non_monotone_timers_preserve_global_order():
-    for legacy in (False, True):
-        sim = Simulator(legacy=legacy)
-        fifo = sim.timer_queue("mix")
-        order = []
-        for when in (50_000, 60_000, 20_000, 70_000, 10_000):
-            sim.at_monotone(fifo, when, order.append, when)
-        sim.run()
-        assert order == [10_000, 20_000, 50_000, 60_000, 70_000]
+    sim = Simulator()
+    order = []
+    for when in (50_000, 60_000, 20_000, 70_000, 10_000):
+        sim.at(when, order.append, when)
+    sim.run()
+    assert order == [10_000, 20_000, 50_000, 60_000, 70_000]
 
 
-# -- mechanism-level differential --------------------------------------------------
+# -- mechanism-level pins ----------------------------------------------------------
 
 #: one tiny spec per mechanism plus the special corners (CPU baseline,
 #: DL-opt flow, fault injection) — mirrors the determinism suite.
@@ -251,57 +174,42 @@ SPECS = {
     ),
 }
 
-
-def _execute_under(spec, legacy):
-    previous = set_default_loop(legacy)
-    try:
-        return execute_spec(spec)
-    finally:
-        set_default_loop(previous)
+#: sha256 of each spec's sorted-key result JSON under the two-loop kernel.
+RESULT_SHA = {
+    "abc": "789ce158c8400e31a6049204791943b8e54e941e21ba6f32234b236a2de3fb54",
+    "aim": "d6e5852a7ec31fd8e0942cce3e2dcb22ad98b4d95eed2b7b4ccec9a390518487",
+    "cpu": "c36380afec3de849ba7f420df3e22e5e2b83eb4c14c3490707521c5aae1e9b13",
+    "dimm_link": "0fc3c64545946362c6d6da5bb6f364b1d456ab3d7323a08711ee3371a333a9fb",
+    "dl_opt": "567c1f5c16b64577c3a764c8cdfe332bbb34f1ea3ae93ac1c7b52e76e4dc4839",
+    "faulted": "d82c95ec12aefd6afb6ef1ba0084a394f5feaa479b60e14d92bbbff3788f002d",
+    "mcn": "3f9fc365b4507024bcd8c510214dda19ff2a7e21b652c4708dae1d93b43f0d8b",
+}
 
 
 @pytest.mark.parametrize("label", sorted(SPECS))
 def test_run_results_identical_across_loops(label):
-    spec = SPECS[label]
-    epoch = json.dumps(_execute_under(spec, False).to_json_dict(), sort_keys=True)
-    legacy = json.dumps(_execute_under(spec, True).to_json_dict(), sort_keys=True)
-    assert epoch == legacy
+    result = execute_spec(SPECS[label])
+    assert _sha(json.dumps(result.to_json_dict(), sort_keys=True)) == RESULT_SHA[label]
+
+
+#: sha256 of the table1 tiny trace: spans, instants, drops, sampler
+#: windows and widths, and the makespan.
+TABLE1_TRACE_SHA = "6a6ae08a831782059df81b5385dc3b00a1d521ae9ad0ae857f05baa8ad8eb7f4"
 
 
 def test_trace_streams_identical_across_loops():
     """Spans, instants, and sampler windows — not just end-of-run stats."""
     from repro.experiments.trace_run import run_traced
 
-    captures = []
-    for legacy in (False, True):
-        previous = set_default_loop(legacy)
-        try:
-            traced = run_traced("table1", size="tiny")
-        finally:
-            set_default_loop(previous)
-        recorder = traced["recorder"]
-        sampler = traced["sampler"]
-        captures.append(
-            (
-                recorder.spans,
-                recorder.instants,
-                recorder.dropped,
-                sampler.samples,
-                sampler.widths,
-                traced["result"].time_ps,
-            )
-        )
-    assert captures[0] == captures[1]
-
-
-def test_loops_can_interleave_on_one_simulator():
-    """run(legacy=True) mid-stream drains the countdown queues safely."""
-    sim_ref, log_ref = _probe_sim(legacy=False)
-    sim_ref.run()
-
-    sim, log = _probe_sim(legacy=False)
-    sim.run(until=60_000)
-    sim.run(until=200_000, legacy=True)  # legacy slice in the middle
-    sim.run()
-    assert log == log_ref
-    assert sim.now == sim_ref.now
+    traced = run_traced("table1", size="tiny")
+    recorder = traced["recorder"]
+    sampler = traced["sampler"]
+    capture = (
+        recorder.spans,
+        recorder.instants,
+        recorder.dropped,
+        sampler.samples,
+        sampler.widths,
+        traced["result"].time_ps,
+    )
+    assert _sha(repr(capture)) == TABLE1_TRACE_SHA

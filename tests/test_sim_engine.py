@@ -461,16 +461,114 @@ def test_watchdog_rejects_nonpositive_budget():
 def test_max_events_exact_budget_completes():
     # a run finishing in exactly max_events events is within budget: the
     # guard fires only when one MORE in-horizon event would exceed it
-    for legacy in (False, True):
-        sim = Simulator(legacy=legacy)
-        fired = []
-        for i in range(10):
-            sim.schedule(i + 1, fired.append, i)
-        assert sim.run(max_events=10) == 10
-        assert fired == list(range(10))
+    sim = Simulator()
+    fired = []
+    for i in range(10):
+        sim.schedule(i + 1, fired.append, i)
+    assert sim.run(max_events=10) == 10
+    assert fired == list(range(10))
 
-        sim = Simulator(legacy=legacy)
-        for i in range(10):
-            sim.schedule(i + 1, fired.append, i)
-        with pytest.raises(SimulationError):
-            sim.run(max_events=9)
+    sim = Simulator()
+    for i in range(10):
+        sim.schedule(i + 1, fired.append, i)
+    with pytest.raises(SimulationError):
+        sim.run(max_events=9)
+
+
+# -- non-Exception BaseExceptions abort the run ----------------------------------------
+
+
+class _Abort(BaseException):
+    """Stands in for KeyboardInterrupt / SystemExit / a drain request."""
+
+
+def test_base_exception_escapes_an_already_delivered_anyof():
+    # regression: the child's BaseException used to become a process
+    # failure, which the AnyOf waiter (already resumed by the timeout)
+    # then dropped -- and run() returned normally
+    sim = Simulator()
+
+    def child():
+        yield 10
+        raise _Abort()
+
+    def parent():
+        yield AnyOf([sim.process(child(), name="child"), sim.timeout(5)])
+        return "timed out"
+
+    handle = sim.process(parent(), name="parent")
+    with pytest.raises(_Abort):
+        sim.run()
+    assert handle.value == "timed out"
+    assert sim.now == 10
+
+
+def test_base_exception_escapes_an_interrupted_wait():
+    # the waiter's epoch is stale (interrupted), so a failure delivered
+    # through done would have been dropped
+    sim = Simulator()
+
+    def child():
+        yield 10
+        raise _Abort()
+
+    def parent():
+        try:
+            yield sim.process(child(), name="child")
+        except TimeoutError:
+            return "interrupted"
+
+    handle = sim.process(parent(), name="parent")
+    sim.schedule(5, lambda _arg: handle.interrupt(TimeoutError()))
+    with pytest.raises(_Abort):
+        sim.run()
+    assert handle.value == "interrupted"
+    assert sim.now == 10
+
+
+def test_base_exception_thrown_into_a_waiter_is_not_a_failure():
+    sim = Simulator()
+    gate = sim.event("gate")
+
+    def child():
+        yield gate
+
+    def parent():
+        try:
+            yield sim.process(child(), name="child")
+        except BaseException:  # a failure delivery would land here
+            return "swallowed"
+
+    handle = sim.process(parent(), name="parent")
+    sim.schedule(5, lambda _arg: gate.fail(KeyboardInterrupt()))
+    with pytest.raises(KeyboardInterrupt):
+        sim.run()
+    assert not handle.finished
+
+
+def test_failed_process_done_stays_untriggered():
+    sim = Simulator()
+
+    def proc():
+        yield 5
+        raise RuntimeError("loud")
+
+    handle = sim.process(proc())
+    with pytest.raises(RuntimeError):
+        sim.run()
+    assert handle.finished
+    assert not handle.done.triggered
+    assert handle.value is None
+
+
+def test_done_of_a_finished_process_is_built_fired():
+    sim = Simulator()
+
+    def proc():
+        yield 5
+        return "ok"
+
+    handle = sim.process(proc())
+    sim.run()
+    assert handle.done.triggered and handle.done.value == "ok"
+    assert handle.done.name == "proc.done"

@@ -2,9 +2,11 @@
 
 Three layers of byte-level pinning:
 
-* **Loop differential** — every new spec kind produces a bit-identical
-  :class:`RunResult` under the epoch fast-forward loop and the legacy
-  one-pop-per-event loop, including the trace streams.
+* **Pinned results** — every new spec kind's :class:`RunResult` and its
+  trace streams hash to the digests recorded when these checks still
+  compared the epoch fast-forward loop with the per-event loop; the
+  single event loop that replaced both must reproduce them byte for
+  byte.
 * **Scheduler differential** — a mixed dlrm+apsp grid run with
   ``jobs=2`` serializes byte-identically to ``jobs=1``.
 * **Cache-key goldens** — the new spec kinds' SHA-256 keys are pinned,
@@ -16,6 +18,7 @@ and the stat suffix-matching that keeps ``dlrm.*`` / ``apsp.*`` from
 aliasing other namespaces.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -28,7 +31,6 @@ from repro.experiments.runner import (
     parse_params,
 )
 from repro.experiments.trace_run import run_traced
-from repro.sim import default_loop_legacy, set_default_loop
 from repro.sim.stats import StatRegistry
 
 # -- shared fixtures -----------------------------------------------------------------
@@ -76,35 +78,58 @@ def serialize(results):
     return json.dumps([r.to_json_dict() for r in results], sort_keys=True)
 
 
-# -- epoch vs legacy loop ------------------------------------------------------------
+def sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# -- pinned against the two-loop kernel ----------------------------------------------
+
+#: sha256 of ``result_bytes(spec)``, recorded while the epoch and legacy
+#: loops were still proven equal on these specs.
+RESULT_SHA = {
+    "dlrm-cpu-cpu": "1903120555f6badded97758ff44c607923209d1ce9286a06eb9f33cea61d9782",
+    "dlrm-nmp-mcn": "1827bc930e97fa9f0843aa7f84be918f2be44a7d1e33971544fbd6aef0bef7aa",
+    "dlrm-nmp-dimm_link": "6c4df8834d83a57140a75f4f9f6e49c9e7fd601dc20d3b8a43e94aa08338d225",
+    "dlrm-optimized-dimm_link": "b880dbd2cd1dc955c67bcb64edb5e47ddd711f931d8c700a8756ff13d169a20a",
+    "apsp-cpu-cpu": "c8dceab626c9be1d010eb24dbb1debedb394bbaae7a15d96450eba0e96db67fe",
+    "apsp-nmp-abc": "c2f62fb47826d010b4b6efb6c7c60f3c8c764b5f679d45e8ac7446301d2adb5e",
+    "apsp-nmp-dimm_link": "768fe80fa65b4b990df51e8d5a67315ab15d6e942d4e5f7ecff0af7585907ace",
+    "apsp-optimized-dimm_link": "a0bed23302db5357c841d2e131827f4c6b524ae4862bffc6e49d415075827b1c",
+}
+
+#: sha256 of the ``repr`` of each traced run's span and instant streams,
+#: and of its result JSON.
+TRACE_SHA = {
+    "dlrm": {
+        "spans": "7fa3f75987b8550d6e8f436002a60d649b93f454f951c99705164417c7bb31bf",
+        "instants": "0a3bae862128e94d96297c97bd1690cc2cf098d68e627b075d9c2083fba20fca",
+        "result": "7671706b8f726707a555a560169d80e32fed179a4463cdbe38758e1b83e9ba45",
+    },
+    "apsp": {
+        "spans": "e2e0bc72034acf64dfb31eab64b5636e244b36fd10a595ddd473b41549caef2e",
+        "instants": "2ac453fc64094f593b9091b5e23270826e2b8ef8df8add38d3242c98c74a54ca",
+        "result": "84003fee9d77d3bd0ef7759b866b8d5b83d48b358948336af3592e357f732a2e",
+    },
+}
 
 
 @pytest.mark.parametrize(
     "spec", DLRM_SPECS + APSP_SPECS, ids=lambda s: f"{s.workload}-{s.kind}-{s.mechanism}"
 )
 def test_epoch_and_legacy_loops_agree_byte_for_byte(spec):
-    epoch = result_bytes(spec)
-    set_default_loop(default_loop_legacy)
-    try:
-        legacy = result_bytes(spec)
-    finally:
-        set_default_loop(None)
-    assert epoch == legacy
+    label = f"{spec.workload}-{spec.kind}-{spec.mechanism}"
+    assert sha(result_bytes(spec)) == RESULT_SHA[label]
 
 
 @pytest.mark.parametrize("experiment", ["dlrm", "apsp"])
 def test_trace_streams_identical_under_both_loops(experiment):
-    epoch = run_traced(experiment, size="tiny")
-    set_default_loop(default_loop_legacy)
-    try:
-        legacy = run_traced(experiment, size="tiny")
-    finally:
-        set_default_loop(None)
-    assert epoch["recorder"].spans == legacy["recorder"].spans
-    assert epoch["recorder"].instants == legacy["recorder"].instants
-    assert (
-        epoch["result"].to_json_dict() == legacy["result"].to_json_dict()
-    )
+    traced = run_traced(experiment, size="tiny")
+    digests = {
+        "spans": sha(repr(traced["recorder"].spans)),
+        "instants": sha(repr(traced["recorder"].instants)),
+        "result": sha(json.dumps(traced["result"].to_json_dict(), sort_keys=True)),
+    }
+    assert digests == TRACE_SHA[experiment]
 
 
 # -- parallel scheduler --------------------------------------------------------------
