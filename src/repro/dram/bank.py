@@ -39,51 +39,14 @@ class Bank:
 
 
 class Rank:
-    """A rank: banks plus rank-wide activate pacing, refresh, and data bus."""
+    """A rank: banks plus rank-wide activate pacing and its data bus."""
 
-    def __init__(self, timing: DRAMTiming, name: str = "rank", sim=None) -> None:
+    def __init__(self, timing: DRAMTiming, name: str = "rank") -> None:
         self.timing = timing
         self.name = name
-        #: optional simulator handle, used only to reach its trace recorder
-        #: (the timeline arithmetic itself never reads the clock).
-        self.sim = sim
         self.banks = [Bank() for _ in range(timing.banks_per_rank)]
         self._recent_activates: Deque[int] = deque(maxlen=4)
         self._bus_free_at = 0
-
-    def _refresh_gate(self, t: int) -> int:
-        """Push ``t`` past the refresh window it falls inside, if any.
-
-        Refresh occupies the last tRFC of every tREFI interval, so time 0
-        starts clean and steady-state accesses stall ~tRFC/tREFI of the time.
-        """
-        trefi, trfc = self.timing.trefi_ps, self.timing.trfc_ps
-        position = t % trefi
-        if position >= trefi - trfc:
-            return (t // trefi + 1) * trefi
-        return t
-
-    def stream(self, now: int, nbytes: int, is_write: bool) -> int:
-        """Fast path for bulk transfers: first-word latency + streaming.
-
-        Models a long sequential burst as one row-miss latency followed by
-        data streamed at a derated fraction of the rank's peak bandwidth
-        (row turnarounds and refresh steal ~15%).  The caller accounts the
-        bytes and activates.
-        """
-        timing = self.timing
-        start = self._refresh_gate(now)
-        first = start + timing.trcd_ps + timing.tcas_ps
-        effective_gbps = timing.rank_bandwidth_gbps * 0.85
-        stream_ps = int(nbytes / effective_gbps * 1000)
-        done = max(first, self._bus_free_at) + stream_ps
-        self._bus_free_at = done
-        if self.sim is not None and self.sim.trace.enabled:
-            kind = "write" if is_write else "read"
-            self.sim.trace.complete(
-                "dram", "stream", self.name, start, done, bytes=nbytes, kind=kind
-            )
-        return done
 
     def precharge_all(self) -> None:
         """Close every open row in the rank."""

@@ -2,9 +2,10 @@
 
 The module walks each byte-addressed request over its cache lines and
 advances the bank and rank timelines (:mod:`repro.dram.bank`) line by
-line.  Requests larger than :data:`BULK_THRESHOLD` take the rank
-streaming fast path so multi-megabyte transfers (Fig. 1's bulk sweep)
-stay cheap to simulate.
+line.  Requests of :data:`BULK_THRESHOLD` bytes or more are streamed
+instead — one row-miss latency, then data at a derated rank bandwidth
+on every rank — so multi-megabyte transfers (Fig. 1's bulk sweep) stay
+cheap to simulate.
 """
 
 from __future__ import annotations
@@ -16,8 +17,11 @@ from repro.errors import ConfigError, SimulationError
 from repro.sim.engine import SimEvent, Simulator
 from repro.sim.stats import StatRegistry
 
-#: Requests at or above this size use the per-rank streaming fast path.
+#: Requests at or above this size are streamed across every rank.
 BULK_THRESHOLD = 4096
+#: share of a rank's peak bandwidth a bulk stream sustains (row
+#: turnarounds and refresh steal ~15%).
+STREAM_EFFICIENCY = 0.85
 
 _CATEGORY_STAT = {
     ROW_HIT: "dram.row_hit",
@@ -44,7 +48,7 @@ class DRAMModule:
         self.name = name
         self.stats = stats
         self.address_map = AddressMap.for_timing(ranks, timing)
-        self.ranks = [Rank(timing, name=f"{name}.rank{i}", sim=sim) for i in range(ranks)]
+        self.ranks = [Rank(timing, name=f"{name}.rank{i}") for i in range(ranks)]
         self._event_name = f"{name}.access"
         #: everything the line walk reads, unpacked into locals per request.
         self._walk = (
@@ -63,6 +67,8 @@ class DRAMModule:
             ranks,
             self.address_map.lines_per_row,
         )
+        #: bulk streaming rate per rank, in GB/s (bytes per ns).
+        self._stream_gbps = timing.rank_bandwidth_gbps * STREAM_EFFICIENCY
 
     @property
     def peak_bandwidth_gbps(self) -> float:
@@ -78,6 +84,11 @@ class DRAMModule:
         computed only for lines that activate a row.  Hits, misses,
         conflicts, activates and bytes are tallied locally and flushed
         with one stats add per counter.
+
+        A bulk request (``nbytes >= BULK_THRESHOLD``) is split evenly over
+        the ranks instead: each rank's share starts one row-miss latency
+        after the same refresh-gated ``now`` (or when its data bus frees)
+        and streams at the derated rank bandwidth.
         """
         if nbytes <= 0:
             raise SimulationError(f"{self.name}: request size must be positive")
@@ -86,29 +97,41 @@ class DRAMModule:
         now = self.sim.now
         stats = self.stats
         bytes_stat = "dram.write_bytes" if is_write else "dram.read_bytes"
-        if nbytes >= BULK_THRESHOLD:
-            ranks = len(self.ranks)
-            per_rank = nbytes // ranks
-            done = 0
-            for rank in self.ranks:
-                done = max(done, rank.stream(now, per_rank, is_write))
-            stats.add(bytes_stat, per_rank * ranks)
-            stats.add("dram.activates", max(1, per_rank // self.timing.row_bytes) * ranks)
-            return done
-
         (trefi, refresh_from, tcas, tburst, trcd_cas, trcd_burst, tras, trp,
          trrd, tfaw, twr, nbanks, nranks, lines_per_row) = self._walk
         start = (now // trefi + 1) * trefi if now % trefi >= refresh_from else now
-        nlines = (offset + nbytes - 1) // LINE_BYTES - offset // LINE_BYTES + 1
-        rank_id, bank_id, row, column = self.address_map.decode(offset)
-
         trace = self.sim.trace
         tracing = trace.enabled
         kind = "write" if is_write else "read"
+        done = 0
+
+        if nbytes >= BULK_THRESHOLD:
+            per_rank = nbytes // nranks
+            first = start + trcd_cas
+            stream_ps = int(per_rank / self._stream_gbps * 1000)
+            for rank in self.ranks:
+                bus_free = rank._bus_free_at
+                bus_free = (first if first > bus_free else bus_free) + stream_ps
+                rank._bus_free_at = bus_free
+                if tracing:
+                    trace.complete(
+                        "dram", "stream", rank.name, start, bus_free,
+                        bytes=per_rank, kind=kind,
+                    )
+                if bus_free > done:
+                    done = bus_free
+            stats.add(bytes_stat, per_rank * nranks)
+            stats.add(
+                "dram.activates", max(1, per_rank // self.timing.row_bytes) * nranks
+            )
+            return done
+
+        nlines = (offset + nbytes - 1) // LINE_BYTES - offset // LINE_BYTES + 1
+        rank_id, bank_id, row, column = self.address_map.decode(offset)
+
         hits = misses = conflicts = 0
         # categories in order of first occurrence (stat-key creation order)
         order = []
-        done = 0
         remaining = nlines
         while True:  # one run of consecutive banks within one rank
             rank = self.ranks[rank_id]

@@ -84,20 +84,22 @@ class HostCore(ThreadExecutor):
         #:  working set onto one module.
         self.home_dimm = home_dimm
         self._access_counter = 0
+        self._llc_hit_rate = host.llc_hit_rate
+        self._llc_ps = ns(host.llc_latency_ns)
+        self._n_llc = f"{self.name}.llc"
 
     def memory_access(self, op) -> Tuple[Optional[SimEvent], bool]:
-        host = self.system.config.host
         is_write = isinstance(op, Write)
         target, migration = self.resolve_target(op, self.home_dimm)
         if migration is not None:
             return self._migrate_then_access(op, target, migration, is_write), False
         self._access_counter += 1
-        if not is_write and _deterministic_hit(self._access_counter, host.llc_hit_rate):
+        if not is_write and _deterministic_hit(
+            self._access_counter, self._llc_hit_rate
+        ):
             self.stats.add("core.cache_hits")
-            hit = self.sim.event(name=f"{self.name}.llc")
-            self.sim.schedule(
-                ns(host.llc_latency_ns), lambda _arg: hit.succeed(op.nbytes), None
-            )
+            hit = SimEvent(self.sim, self._n_llc)
+            self.sim.schedule(self._llc_ps, hit.succeed, op.nbytes)
             return hit, False
         return self.system.memory_request(target, op.offset, op.nbytes, is_write), False
 
@@ -179,20 +181,37 @@ class HostCPUSystem:
     def memory_request(
         self, dimm: int, offset: int, nbytes: int, is_write: bool
     ) -> SimEvent:
-        """One host memory access: channel bus + DRAM on the target DIMM."""
+        """One host memory access: channel bus + DRAM on the target DIMM.
+
+        Command and data cross the channel; the DRAM access overlaps the
+        burst, so the access charges bus occupancy plus the bank
+        completion time.  A chain of callbacks, one per simulator slot.
+        """
         done = self.sim.event(name="cpu.mem")
-        channel = self.channels[self.config.channel_of(dimm)]
-        dram = self.drams[dimm]
-
-        def proc():
-            # command/data cross the channel; the DRAM access overlaps the
-            # burst, so charge bus occupancy plus the bank completion time.
-            yield channel.transfer(nbytes, kind="data")
-            yield dram.access(offset, nbytes, is_write)
-            done.succeed(nbytes)
-
-        self.sim.process(proc(), name="cpu.mem")
+        request = (dimm, offset, nbytes, is_write, done)
+        self.sim.schedule(0, self._cross_channel, request)
         return done
+
+    def _cross_channel(self, request) -> None:
+        channel = self.channels[self.config.channel_of(request[0])]
+        # bus transfers only ever succeed, so the next step needs no check
+        channel.transfer(request[2], kind="data").add_callback(
+            lambda _bus: self.sim.schedule(0, self._access_dram, request)
+        )
+
+    def _access_dram(self, request) -> None:
+        dimm, offset, nbytes, is_write, _done = request
+        self.sim.at(
+            self.drams[dimm].completion_time(offset, nbytes, is_write),
+            self._dram_done,
+            request,
+        )
+
+    def _dram_done(self, request) -> None:
+        self.sim.schedule(0, self._finish, request)
+
+    def _finish(self, request) -> None:
+        request[4].succeed(request[2])
 
     def run(
         self,

@@ -70,21 +70,20 @@ class ForwardController:
         expects after forwarding the matching request.
         """
         done = self.sim.event(name="host.fwd")
-        self.sim.process(
-            self._forward_proc(src_dimm, dst_dimm, wire_bytes, notice_dimm, done),
-            name="host.fwd",
+        self.sim.schedule(
+            0, self._start, (src_dimm, dst_dimm, wire_bytes, notice_dimm, done)
         )
         return done
 
-    def _forward_proc(
-        self,
-        src_dimm: int,
-        dst_dimm: int,
-        wire_bytes: int,
-        notice_dimm: Optional[int],
-        done: SimEvent,
-    ):
-        start = self.sim.now
+    # One forward is a chain of callbacks, one per simulator slot: wait for
+    # the host to notice the request, then read the packet over the source
+    # channel, pass it through the routing-node engine (per-packet cost +
+    # copy bandwidth + the fixed GEM5-profiled latency, pipelined), and
+    # write it over the destination channel.  Polling notices and bus
+    # transfers only ever succeed, so no step checks for a failed event.
+
+    def _start(self, request) -> None:
+        src_dimm, dst_dimm, wire_bytes, notice_dimm, done = request
         trace = self.sim.trace
         span = (
             trace.begin(
@@ -98,20 +97,39 @@ class ForwardController:
             if trace.enabled
             else None
         )
-        if notice_dimm != -1:
-            yield self.polling.notice(
-                src_dimm if notice_dimm is None else notice_dimm
-            )
-        src_channel = self.channels[self.config.channel_of(src_dimm)]
-        dst_channel = self.channels[self.config.channel_of(dst_dimm)]
-        # read the packet from the source DIMM's packet buffer
-        yield src_channel.transfer(wire_bytes, kind="fwd")
-        # the routing-node engine: per-packet cost + copy bandwidth +
-        # the fixed GEM5-profiled forward latency (pipelined)
-        yield self.engine.transfer(wire_bytes, extra_ps=self._per_op_ps)
-        yield dst_channel.transfer(wire_bytes, kind="fwd")
+        forward = (src_dimm, dst_dimm, wire_bytes, done, self.sim.now, span)
+        if notice_dimm == -1:
+            self._read_source(forward)
+            return
+        self._then(
+            self.polling.notice(src_dimm if notice_dimm is None else notice_dimm),
+            self._read_source,
+            forward,
+        )
+
+    def _then(self, event: SimEvent, step, forward) -> None:
+        """Run ``step(forward)`` in the slot after ``event`` fires."""
+        event.add_callback(lambda _event: self.sim.schedule(0, step, forward))
+
+    def _read_source(self, forward) -> None:
+        channel = self.channels[self.config.channel_of(forward[0])]
+        self._then(channel.transfer(forward[2], kind="fwd"), self._copy, forward)
+
+    def _copy(self, forward) -> None:
+        self._then(
+            self.engine.transfer(forward[2], extra_ps=self._per_op_ps),
+            self._write_destination,
+            forward,
+        )
+
+    def _write_destination(self, forward) -> None:
+        channel = self.channels[self.config.channel_of(forward[1])]
+        self._then(channel.transfer(forward[2], kind="fwd"), self._finish, forward)
+
+    def _finish(self, forward) -> None:
+        _src, _dst, wire_bytes, done, start, span = forward
         self.stats.add("fwd.ops")
         self.stats.add("fwd.bytes", wire_bytes)
         self.stats.histogram("fwd.latency_ns").record((self.sim.now - start) / 1000)
-        trace.end(span)
+        self.sim.trace.end(span)
         done.succeed(wire_bytes)

@@ -16,7 +16,7 @@ from repro.nmp.executor import ThreadExecutor
 from repro.sim.engine import SimEvent, Simulator
 from repro.sim.stats import StatRegistry
 from repro.sim.time import ns
-from repro.workloads.ops import Broadcast
+from repro.workloads.ops import Broadcast, Write
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.sync import SyncManager
@@ -55,6 +55,8 @@ class NMPCore(ThreadExecutor):
         self.idc: "IDCMechanism | None" = None
         self.sync: "SyncManager | None" = None
         self._access_counter = 0
+        self._hit_ps = ns(config.cache_latency_ns)
+        self._n_hit = f"{self.name}.hit"
 
     def bind(self, idc: "IDCMechanism", sync: "SyncManager") -> None:
         """Connect the core to the run's IDC mechanism and barrier service."""
@@ -64,8 +66,6 @@ class NMPCore(ThreadExecutor):
     # -- ThreadExecutor hooks ---------------------------------------------------
 
     def memory_access(self, op) -> Tuple[Optional[SimEvent], bool]:
-        from repro.workloads.ops import Write
-
         is_write = isinstance(op, Write)
         target, migration = self.resolve_target(op, self.dimm_id)
         if migration is not None:
@@ -75,12 +75,8 @@ class NMPCore(ThreadExecutor):
             self._access_counter += 1
             if _deterministic_hit(self._access_counter, self.config.local_hit_rate):
                 self.stats.add("core.cache_hits")
-                hit = self.sim.event(name=f"{self.name}.hit")
-                self.sim.schedule(
-                    ns(self.config.cache_latency_ns),
-                    lambda _arg: hit.succeed(op.nbytes),
-                    None,
-                )
+                hit = SimEvent(self.sim, self._n_hit)
+                self.sim.schedule(self._hit_ps, hit.succeed, op.nbytes)
                 return hit, False
         return self.mc.submit(target, op.offset, op.nbytes, is_write), is_remote
 

@@ -40,9 +40,11 @@ class ThreadExecutor(abc.ABC):
         #: >1.0 slows compute (host cores time-multiplexing many threads).
         self.compute_scale = compute_scale
         self._window = SlotResource(sim, window, name=f"{name}.window")
-        self._pending: Dict[int, Tuple[SimEvent, bool]] = {}
-        self._next_id = 0
+        #: in-flight request -> whether it is remote, in issue order.
+        self._pending: Dict[SimEvent, bool] = {}
         self._outstanding_remote = 0
+        #: completion callback of every request, bound once.
+        self._complete = self._on_complete
         #: optional shared page table (repro.mapping.pagetable.PageTable);
         #: None keeps the legacy static-shard addressing untouched.
         self.pagetable = None
@@ -84,9 +86,13 @@ class ThreadExecutor(abc.ABC):
         )
 
     def _thread_proc(self, thread_id: int, ops: Iterable):
-        start = self.sim.now
+        sim = self.sim
+        stats = self.stats
+        window = self._window
+        pending = self._pending
+        start = sim.now
         interval_start = start
-        trace = self.sim.trace
+        trace = sim.trace
         thread_span = (
             trace.begin("nmp", "thread", self.name, thread=thread_id)
             if trace.enabled
@@ -95,13 +101,27 @@ class ThreadExecutor(abc.ABC):
         for op in ops:
             if isinstance(op, Compute):
                 duration = cycles(op.cycles * self.compute_scale, self.freq_ghz)
-                self.stats.add("core.busy_ps", duration)
+                stats.add("core.busy_ps", duration)
                 yield duration
             elif isinstance(op, (Read, Write)):
-                yield from self._issue_memory(op)
+                blocked_from = sim.now
+                yield window.acquire()
+                self._attribute_stall(sim.now - blocked_from)
+                event, is_remote = self.memory_access(op)
+                stats.add("core.mem_ops")
+                if is_remote:
+                    stats.add("core.remote_ops")
+                    stats.add("core.remote_bytes", op.nbytes)
+                if event is None:
+                    window.release()
+                    continue
+                pending[event] = is_remote
+                if is_remote:
+                    self._outstanding_remote += 1
+                event.add_callback(self._complete)
             elif isinstance(op, Broadcast):
                 yield from self._drain()
-                blocked_from = self.sim.now
+                blocked_from = sim.now
                 span = (
                     trace.begin("nmp", "broadcast", self.name, thread=thread_id)
                     if trace.enabled
@@ -109,11 +129,11 @@ class ThreadExecutor(abc.ABC):
                 )
                 yield self.broadcast(op)
                 trace.end(span)
-                self.stats.add("core.stall_remote_ps", self.sim.now - blocked_from)
-                self.stats.add("core.broadcasts")
+                stats.add("core.stall_remote_ps", sim.now - blocked_from)
+                stats.add("core.broadcasts")
             elif isinstance(op, Barrier):
                 yield from self._drain()
-                blocked_from = self.sim.now
+                blocked_from = sim.now
                 span = (
                     trace.begin("nmp", "barrier", self.name, thread=thread_id)
                     if trace.enabled
@@ -121,51 +141,31 @@ class ThreadExecutor(abc.ABC):
                 )
                 yield self.barrier(thread_id)
                 trace.end(span)
-                self.stats.add("core.stall_sync_ps", self.sim.now - blocked_from)
-                self.stats.add("core.barriers")
+                stats.add("core.stall_sync_ps", sim.now - blocked_from)
+                stats.add("core.barriers")
             elif isinstance(op, Flush):
                 yield from self._drain()
             elif isinstance(op, Stamp):
                 yield from self._drain()
-                self.stats.histogram(op.key).record(self.sim.now - interval_start)
-                interval_start = self.sim.now
+                stats.histogram(op.key).record(sim.now - interval_start)
+                interval_start = sim.now
             else:
                 raise WorkloadError(f"unknown op {op!r}")
         yield from self._drain()
-        self.stats.add("core.thread_ps", self.sim.now - start)
-        self.stats.add("core.threads")
+        stats.add("core.thread_ps", sim.now - start)
+        stats.add("core.threads")
         trace.end(thread_span)
-        return self.sim.now
+        return sim.now
 
-    def _issue_memory(self, op):
-        blocked_from = self.sim.now
-        yield self._window.acquire()
-        self._attribute_stall(self.sim.now - blocked_from)
-        event, is_remote = self.memory_access(op)
-        self.stats.add("core.mem_ops")
-        if is_remote:
-            self.stats.add("core.remote_ops")
-            self.stats.add("core.remote_bytes", op.nbytes)
-        if event is None:
-            self._window.release()
-            return
-        request_id = self._next_id
-        self._next_id += 1
-        self._pending[request_id] = (event, is_remote)
-        if is_remote:
-            self._outstanding_remote += 1
-        event.add_callback(lambda _ev, rid=request_id: self._on_complete(rid))
-
-    def _on_complete(self, request_id: int) -> None:
-        _event, is_remote = self._pending.pop(request_id)
-        if is_remote:
+    def _on_complete(self, event: SimEvent) -> None:
+        if self._pending.pop(event):
             self._outstanding_remote -= 1
         self._window.release()
 
     def _drain(self):
         while self._pending:
             blocked_from = self.sim.now
-            events = [event for event, _remote in self._pending.values()]
+            events = list(self._pending)
             remote_fraction = self._remote_fraction()
             yield AllOf(events)
             self._split_stall(self.sim.now - blocked_from, remote_fraction)

@@ -43,6 +43,7 @@ class LocalMemoryController:
         self.buffer = SlotResource(
             sim, TRANSACTION_BUFFER_ENTRIES, name=f"dimm{dimm_id}.txnbuf"
         )
+        self._n_done = f"dimm{dimm_id}.mc"
 
     def bind_idc(self, idc: "IDCMechanism") -> None:
         """Connect the DL interface to the system's IDC mechanism."""
@@ -51,33 +52,63 @@ class LocalMemoryController:
     def submit(
         self, target_dimm: int, offset: int, nbytes: int, is_write: bool
     ) -> SimEvent:
-        """Submit one request; the event fires on completion."""
-        done = self.sim.event(name=f"dimm{self.dimm_id}.mc")
-        self.sim.process(
-            self._serve(target_dimm, offset, nbytes, is_write, done),
-            name=f"dimm{self.dimm_id}.mc",
-        )
+        """Submit one request; the event fires on completion.
+
+        The request is a chain of callbacks, one per simulator slot: take
+        a transaction-buffer entry (FIFO once all are held), arbitrate,
+        then either access local DRAM or wait on the IDC mechanism, and
+        finally free the entry and fire the returned event.
+        """
+        done = SimEvent(self.sim, self._n_done)
+        self.sim.schedule(0, self._admit, (target_dimm, offset, nbytes, is_write, done))
         return done
 
-    def _serve(
-        self, target_dimm: int, offset: int, nbytes: int, is_write: bool, done: SimEvent
-    ):
-        yield self.buffer.acquire()
-        yield ARBITER_LATENCY_PS
+    def _admit(self, request) -> None:
+        grant = self.buffer.acquire()
+        if grant.triggered:
+            self.sim.schedule(0, self._arbitrate, request)
+        else:
+            grant.add_callback(
+                lambda _grant: self.sim.schedule(0, self._arbitrate, request)
+            )
+
+    def _arbitrate(self, request) -> None:
+        self.sim.schedule(ARBITER_LATENCY_PS, self._dispatch, request)
+
+    def _dispatch(self, request) -> None:
+        target_dimm, offset, nbytes, is_write, _done = request
         if target_dimm == self.dimm_id:
             self.stats.add("idc.local_bytes", nbytes)
-            yield self.dram.access(offset, nbytes, is_write)
+            self.sim.at(
+                self.dram.completion_time(offset, nbytes, is_write),
+                self._dram_done,
+                request,
+            )
+            return
+        if self.idc is None:
+            raise RuntimeError(
+                f"dimm{self.dimm_id}: remote request without an IDC mechanism"
+            )
+        if is_write:
+            remote = self.idc.remote_write(self.dimm_id, target_dimm, offset, nbytes)
         else:
-            if self.idc is None:
-                raise RuntimeError(
-                    f"dimm{self.dimm_id}: remote request without an IDC mechanism"
-                )
-            if is_write:
-                yield self.idc.remote_write(self.dimm_id, target_dimm, offset, nbytes)
-            else:
-                yield self.idc.remote_read(self.dimm_id, target_dimm, offset, nbytes)
+            remote = self.idc.remote_read(self.dimm_id, target_dimm, offset, nbytes)
+        remote.add_callback(
+            lambda event: self.sim.schedule(0, self._remote_done, (request, event))
+        )
+
+    def _dram_done(self, request) -> None:
+        self.sim.schedule(0, self._finish, request)
+
+    def _remote_done(self, waited) -> None:
+        request, event = waited
+        if event.failed:
+            raise event.value  # failures surface out of the event loop
+        self._finish(request)
+
+    def _finish(self, request) -> None:
         self.buffer.release()
-        done.succeed(nbytes)
+        request[4].succeed(request[2])
 
     def local_access(self, offset: int, nbytes: int, is_write: bool) -> SimEvent:
         """Direct local DRAM access (used by the IDC receive path)."""

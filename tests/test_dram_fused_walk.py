@@ -105,14 +105,36 @@ def _access_line(module, rank, now, bank_id, row, is_write):
     return done
 
 
+def _stream(module, rank, now, nbytes, is_write):
+    """One rank's share of a bulk request: first-word latency + streaming.
+
+    A long sequential burst is one row-miss latency followed by data
+    streamed at 85% of the rank's peak bandwidth.
+    """
+    timing = module.timing
+    start = _refresh_gate(timing, now)
+    first = start + timing.trcd_ps + timing.tcas_ps
+    effective_gbps = timing.rank_bandwidth_gbps * 0.85
+    stream_ps = int(nbytes / effective_gbps * 1000)
+    done = max(first, rank._bus_free_at) + stream_ps
+    rank._bus_free_at = done
+    if module.sim.trace.enabled:
+        kind = "write" if is_write else "read"
+        module.sim.trace.complete(
+            "dram", "stream", rank.name, start, done, bytes=nbytes, kind=kind
+        )
+    return done
+
+
 def reference_completion_time(module, offset, nbytes, is_write):
-    """The per-line walk (and per-rank bulk stats) the fused walk replaced."""
+    """The per-line walk (and per-rank bulk streams and stats) the fused
+    walk replaced."""
     now = module.sim.now
     if nbytes >= BULK_THRESHOLD:
         per_rank = nbytes // len(module.ranks)
         done = 0
         for rank in module.ranks:
-            done = max(done, rank.stream(now, per_rank, is_write))
+            done = max(done, _stream(module, rank, now, per_rank, is_write))
             kind = "write" if is_write else "read"
             module.stats.add(f"dram.{kind}_bytes", per_rank)
             module.stats.add(
@@ -237,8 +259,43 @@ def test_fused_walk_matches_reference(preset_name, ranks, seed):
 @pytest.mark.parametrize("ranks", [1, 2, 4])
 def test_bulk_stats_fold_matches_per_rank_adds(ranks):
     timing = presets()["DDR4_2400_LRDIMM"]
-    fused, reference = _drive(timing, ranks, seed=5, count=300, bulk=True)
+    fused, reference = _drive(timing, ranks, seed=5, count=300, bulk=True, trace=True)
     _assert_identical(fused, reference)
+    streams = [span for span in fused.sim.trace.spans if span[1] == "stream"]
+    assert streams
+    assert streams == [
+        span for span in reference.sim.trace.spans if span[1] == "stream"
+    ]
+
+
+@pytest.mark.parametrize("ranks", [1, 2, 4])
+def test_bulk_stream_inside_refresh_window_matches_reference(ranks):
+    """A bulk request arriving mid-refresh streams on every rank from the
+    window's end; each rank's data bus and ``stream`` span match the
+    per-rank reference after every request."""
+    timing = presets()["DDR4_2666_RDIMM"]
+    fused, reference = _twins(timing, ranks, trace=True)
+    trefi, trfc = timing.trefi_ps, timing.trfc_ps
+    inside = trefi - trfc + trfc // 2
+    requests = (
+        (0, 0, 256, False),  # leaves rank 0's bus busy for the first stream
+        (inside, 0, 3 * BULK_THRESHOLD + 64, True),
+        (inside, 1 << 15, BULK_THRESHOLD, False),  # queues behind it
+        (trefi + 5, 64, 1 << 16, False),
+    )
+    for now, offset, nbytes, is_write in requests:
+        fused.sim.now = reference.sim.now = now
+        got = fused.completion_time(offset, nbytes, is_write)
+        assert got == reference_completion_time(reference, offset, nbytes, is_write)
+        assert [rank._bus_free_at for rank in fused.ranks] == [
+            rank._bus_free_at for rank in reference.ranks
+        ]
+    _assert_identical(fused, reference)
+    assert fused.sim.trace.spans == reference.sim.trace.spans
+    streams = [span for span in fused.sim.trace.spans if span[1] == "stream"]
+    assert len(streams) == 3 * ranks
+    # both mid-refresh streams start at the end of the refresh window
+    assert {span[4] for span in streams[: 2 * ranks]} == {trefi}
 
 
 def test_tfaw_burst_matches_reference():
