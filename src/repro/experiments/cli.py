@@ -46,19 +46,6 @@ straight back to the queue (attempt uncharged) so another worker picks
 it up immediately instead of waiting out the lease TTL.  Passing
 ``--broker`` to a regular experiment command runs its grid on the
 fabric too, with the invoking process joining as one more worker.
-
-Farms without a shared filesystem front the broker with the sweep
-service (:mod:`repro.service`) instead::
-
-    dimmlink-repro serve  --broker /srv/farm --port 7741    # journal owner
-    dimmlink-repro work   --broker tcp://farmhost:7741 &    # anywhere
-    dimmlink-repro submit fig16 --broker tcp://farmhost:7741 --size small
-
-``serve`` owns the journal/lease directory and handles submits, progress
-streams, and worker RPCs with admission control, per-request deadlines,
-and SIGTERM graceful drain (DESIGN.md §16).  A ``tcp://`` ``--broker``
-on ``work``/``submit`` routes through it; ``--fallback-broker DIR``
-lets a worker degrade to the shared directory if the socket dies.
 """
 
 from __future__ import annotations
@@ -167,11 +154,10 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "experiment",
-        choices=experiment_names() + ["trace", "submit", "work", "serve"],
+        choices=experiment_names() + ["trace", "submit", "work"],
         help="experiment id, 'all', 'trace' (record one traced run), "
-        "'submit' (enqueue a grid on a work broker), 'work' "
-        "(drain specs from a work broker), or 'serve' (run the sweep "
-        "service over a broker directory)",
+        "'submit' (enqueue a grid on a work broker), or 'work' "
+        "(drain specs from a work broker)",
     )
     parser.add_argument(
         "target",
@@ -239,47 +225,11 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--broker",
         default=None,
-        metavar="DIR|tcp://HOST:PORT",
-        help="work-broker directory of the distributed fabric (required "
-        "by 'submit'/'work'/'serve'; optional for experiments: their "
-        "grids then drain through the shared queue instead of a local "
-        "pool).  'submit'/'work' also accept a tcp:// sweep-service "
-        "endpoint for farms without a shared filesystem",
-    )
-    parser.add_argument(
-        "--fallback-broker",
-        default=None,
         metavar="DIR",
-        help="work only: broker directory a tcp:// worker degrades to "
-        "when the service endpoint dies mid-sweep (needs a shared "
-        "filesystem; default: keep retrying the socket)",
-    )
-    parser.add_argument(
-        "--host",
-        default="127.0.0.1",
-        help="serve only: interface to bind (default: 127.0.0.1)",
-    )
-    parser.add_argument(
-        "--port",
-        type=int,
-        default=0,
-        help="serve only: port to bind (default: 0 = ephemeral)",
-    )
-    parser.add_argument(
-        "--max-pending",
-        type=int,
-        default=1024,
-        metavar="N",
-        help="serve only: admission bound on live (pending+leased) "
-        "specs; submits beyond it get a structured BUSY (default: 1024)",
-    )
-    parser.add_argument(
-        "--deadline",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="submit via tcp:// only: per-request deadline propagated "
-        "into the fabric's lease TTLs (default: none)",
+        help="work-broker directory of the distributed fabric, shared by "
+        "every worker (required by 'submit'/'work'; optional for "
+        "experiments: their grids then drain through the shared queue "
+        "instead of a local pool)",
     )
     parser.add_argument(
         "--lease-ttl",
@@ -313,20 +263,17 @@ def main(argv=None) -> int:
         parser.error("--lease-ttl must be positive")
     if args.broker is not None and args.no_cache:
         parser.error("--broker needs the results cache; drop --no-cache")
+    if args.broker is not None and args.broker.startswith("tcp://"):
+        parser.error(
+            "--broker takes a directory that all workers share, "
+            f"not a network endpoint ({args.broker})"
+        )
 
-    if args.experiment in ("submit", "work", "serve"):
+    if args.experiment in ("submit", "work"):
         if args.broker is None:
             parser.error(f"'{args.experiment}' requires --broker")
-        from repro.service.protocol import is_endpoint
-
-        if args.experiment == "serve":
-            if is_endpoint(args.broker):
-                parser.error("serve needs a broker *directory*, not tcp://")
-            return _cmd_serve(args)
         try:
             if args.experiment == "submit":
-                if is_endpoint(args.broker):
-                    return _cmd_submit_service(args, parser)
                 return _cmd_submit(args, parser)
             return _cmd_work(args)
         except KeyboardInterrupt:
@@ -349,15 +296,6 @@ def main(argv=None) -> int:
             "'submit' commands"
         )
 
-    if args.broker is not None:
-        from repro.service.protocol import is_endpoint
-
-        if is_endpoint(args.broker):
-            parser.error(
-                "tcp:// service endpoints are only supported by the "
-                "'submit' and 'work' commands; experiment grids need a "
-                "broker directory"
-            )
     previous_runner = sweep_runner.get_runner()
     grid_runner = sweep_runner.configure(
         jobs=args.jobs,
@@ -412,14 +350,7 @@ def _cache_dir_for(args) -> str:
 
 
 def _open_broker(args):
-    """Build the broker the fabric commands share: a WorkBroker on a
-    directory, or a NetBroker proxy on a tcp:// service endpoint."""
-    from repro.service.protocol import is_endpoint
-
-    if is_endpoint(args.broker):
-        from repro.fabric.netbroker import NetBroker
-
-        return NetBroker(args.broker, fallback_root=args.fallback_broker)
+    """Build the WorkBroker the fabric commands share."""
     from repro.fabric.broker import BrokerConfig, WorkBroker
 
     # only consulted when this call *creates* the broker; an existing
@@ -476,12 +407,8 @@ def _cmd_submit(args, parser) -> int:
 
 
 class _DrainRequested(BaseException):
-    """SIGTERM/SIGINT turned into a cooperative drain (BaseException so
+    """SIGTERM/SIGINT cutting the in-flight spec short (BaseException so
     no ``except Exception`` on the execution path can swallow it)."""
-
-    def __init__(self, signum: int) -> None:
-        super().__init__(f"drain requested by signal {signum}")
-        self.signum = signum
 
 
 def _cmd_work(args) -> int:
@@ -490,7 +417,11 @@ def _cmd_work(args) -> int:
     SIGTERM/SIGINT drain *gracefully*: the in-flight claim is handed
     straight back to the queue (attempt uncharged, no backoff stamp) so
     another worker picks it up immediately instead of waiting out this
-    worker's lease TTL.
+    worker's lease TTL.  The exit status follows the signal the handler
+    recorded, not the exception it raised: a signal that lands while the
+    GC finalises a suspended simulation generator has its exception
+    dropped ("Exception ignored in ..."), and the worker then returns
+    normally after the current spec.
     """
     import signal as _signal
 
@@ -499,12 +430,14 @@ def _cmd_work(args) -> int:
     broker = _open_broker(args)
     worker = Worker(broker, spec_timeout=args.spec_timeout)
     mode = "forever" if args.forever else "until drained"
-    source = getattr(broker, "root", None) or getattr(broker, "address", "?")
-    print(f"[work] {worker.worker_id} pulling from {source} ({mode})")
+    print(f"[work] {worker.worker_id} pulling from {broker.root} ({mode})")
+
+    signals = []
 
     def _drain_handler(signum, frame):
+        signals.append(signum)
         worker.stop()
-        raise _DrainRequested(signum)
+        raise _DrainRequested(f"drain requested by signal {signum}")
 
     previous = {
         signum: _signal.signal(signum, _drain_handler)
@@ -512,90 +445,27 @@ def _cmd_work(args) -> int:
     }
     try:
         worker.run(drain=not args.forever)
-    except _DrainRequested as drain:
-        relinquished = worker.relinquish_current(
-            reason=f"worker drained by signal {drain.signum}"
-        )
-        print(
-            f"\n[work] drained by signal {drain.signum}: "
-            + ("in-flight claim handed back to the queue"
-               if relinquished else "no claim was in flight")
-        )
-        print(
-            f"[work] done: completed={worker.completed} "
-            f"failed={worker.failed} cache_served={worker.cache_served} "
-            f"leases_lost={worker.leases_lost}"
-        )
-        return 130 if drain.signum == _signal.SIGINT else 143
+    except _DrainRequested:
+        pass
     finally:
         for signum, handler in previous.items():
             _signal.signal(signum, handler)
+    if signals:
+        relinquished = worker.relinquish_current(
+            reason=f"worker drained by signal {signals[0]}"
+        )
+        print(
+            f"\n[work] drained by signal {signals[0]}: "
+            + ("in-flight claim handed back to the queue"
+               if relinquished else "no claim was in flight")
+        )
     print(
         f"[work] done: completed={worker.completed} failed={worker.failed} "
         f"cache_served={worker.cache_served} leases_lost={worker.leases_lost}"
     )
-    return 0
-
-
-def _cmd_serve(args) -> int:
-    """Run the sweep service over a broker directory until drained."""
-    from repro.service.server import main as serve_main
-
-    argv = [args.broker, "--host", args.host, "--port", str(args.port),
-            "--max-live-specs", str(args.max_pending)]
-    if args.lease_ttl:
-        argv += ["--lease-ttl", str(args.lease_ttl)]
-    return serve_main(argv)
-
-
-def _cmd_submit_service(args, parser) -> int:
-    """Submit one experiment's grid through the sweep service and
-    stream progress events until the grid drains."""
-    from repro.service.client import ServiceBusy, ServiceClient
-
-    if args.target not in _GRIDDED:
-        parser.error(
-            f"submit needs an experiment id from: {', '.join(submittable_names())}"
-        )
-    grid = _GRIDDED[args.target].specs(args.size)
-    keys = [spec.cache_key() for spec in grid]
-    client = ServiceClient(args.broker, busy_budget_s=30.0)
-    try:
-        reply = client.submit(
-            grid, deadline_s=args.deadline, retry_dead=args.retry_dead_letter
-        )
-    except ServiceBusy as busy:
-        print(f"[submit] rejected by admission control: {busy}")
-        return 75  # EX_TEMPFAIL: back off and retry
-    report = reply["report"]
-    print(f"[submit] {args.target} (size={args.size}) -> {args.broker}")
-    print(f"[submit] {report['total']} spec(s): {report['enqueued']} enqueued, "
-          f"{report['cached'] + report['done']} already done, "
-          f"{report['inflight']} in flight, {report['dead']} dead")
-    if args.no_wait:
-        return 1 if report["dead"] else 0
-
-    def show(event) -> None:
-        kind = event.get("type")
-        if kind == "spec":
-            line = f"[submit] {event.get('state')}: {event.get('key', '')[:12]}"
-            if event.get("error"):
-                line += f" ({event['error']})"
-            print(line)
-        elif kind in ("snapshot", "drained", "reset"):
-            counts = event.get("counts") or {}
-            print(f"[submit] done={counts.get('done', '?')} "
-                  f"leased={counts.get('leased', '?')} "
-                  f"pending={counts.get('pending', '?')} "
-                  f"dead={counts.get('dead', '?')} / {counts.get('total', '?')}")
-
-    final = client.watch(keys, on_event=show, grid_id=reply.get("grid_id"))
-    if final.get("dead"):
-        print(f"[submit] {final['dead']} spec(s) quarantined — see the "
-              "broker's dead-letter store")
-        return 1
-    print("[submit] grid complete; results are in the broker's shared cache")
-    return 0
+    if not signals:
+        return 0
+    return 130 if signals[0] == _signal.SIGINT else 143
 
 
 def _run_entry(name: str, entry, *entry_args) -> int:

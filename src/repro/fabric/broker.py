@@ -343,30 +343,6 @@ class WorkBroker:
         self.leases.release(key, worker)
         return True
 
-    def expire(self, key: str, reason: str) -> bool:
-        """Quarantine a *pending* spec whose request deadline passed.
-
-        Used by the service layer: a spec nobody has started that can no
-        longer finish in time goes to ``dead`` (and the dead-letter
-        store) instead of burning a worker on a result the client will
-        discard.  Leased specs are left alone — their execution is
-        already paid for and publishing the result is harmless.
-        """
-        record = self.journal.read(key)
-        if record is None or record.state != "pending":
-            return False
-        janitor = "<deadline>"
-        if not self.leases.try_claim(key, janitor):
-            return False  # a worker is claiming it right now: let it run
-        try:
-            record = self.journal.read(key)
-            if record is None or record.state != "pending":
-                return False
-            self._quarantine(record, reason)
-            return True
-        finally:
-            self.leases.release(key, janitor)
-
     def _quarantine(
         self, record: SpecRecord, error: str, diagnosis: str = ""
     ) -> None:

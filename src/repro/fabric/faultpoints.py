@@ -50,36 +50,6 @@ FS_POINTS = (
     "worker.publish.after_cache_put",
 )
 
-#: network points of the service layer (:mod:`repro.service` and
-#: :mod:`repro.fabric.netbroker`).  Each models one way a socket hop can
-#: betray its peers mid-protocol:
-#:
-#: * ``net.frame.torn_write`` — half a length-prefixed frame reaches the
-#:   wire, then the sender dies (TCP segment boundary + crash).
-#: * ``net.conn.half_open`` — the peer reads a request and never
-#:   replies, keeping the connection open (silent NAT/firewall drop).
-#: * ``net.heartbeat.drop_ack`` — a lease renew is *applied* server-side
-#:   but its ACK never reaches the worker.
-#: * ``net.outcome.delayed`` — an outcome (complete/fail) reply is
-#:   delayed past the client's timeout, provoking an idempotent retry.
-#: * ``net.server.exit_mid_reply`` — the server journals a transition
-#:   and dies before the reply bytes leave the process.
-#: * ``net.client.reconnect_storm`` — the client tears the connection
-#:   down right after a successful exchange (flapping link), forcing
-#:   back-to-back reconnects.
-NET_POINTS = (
-    "net.frame.torn_write",
-    "net.conn.half_open",
-    "net.heartbeat.drop_ack",
-    "net.outcome.delayed",
-    "net.server.exit_mid_reply",
-    "net.client.reconnect_storm",
-)
-
-#: every point the protocol exposes, for exhaustive chaos parametrization.
-POINTS = FS_POINTS + NET_POINTS
-
-
 class InjectedFaultError(ReproError):
     """A chaos fault point fired (simulated worker crash)."""
 

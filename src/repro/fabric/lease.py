@@ -194,9 +194,7 @@ class LeaseManager:
         released); the worker's result is then published anyway and
         deduplicated by the idempotent cache.
 
-        ``ttl_s`` overrides the manager's TTL for this renewal only —
-        the service layer uses it to *shorten* a lease so it never
-        outlives a client's per-request deadline.
+        ``ttl_s`` overrides the manager's TTL for this renewal only.
 
         Raises ``OSError`` when the renewal write itself fails (ENOSPC,
         EACCES, a yanked mount): the caller must treat that as lease

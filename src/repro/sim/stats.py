@@ -17,6 +17,18 @@ import math
 from typing import Dict, Iterator, List, Optional, Tuple
 
 
+def _extremum(value: object) -> Optional[float]:
+    """A loaded ``min``/``max``, kept as the JSON number it was.
+
+    :meth:`Histogram.record` keeps int samples as ints, so casting to
+    ``float`` here would make a reloaded result serialize differently
+    from the fresh one (``4321193.0`` for ``4321193``).
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float, type(None))):
+        raise TypeError(f"histogram extremum must be a number, got {value!r}")
+    return value
+
+
 class Histogram:
     """A streaming histogram tracking count/sum/min/max and log2 buckets."""
 
@@ -73,8 +85,8 @@ class Histogram:
         hist = cls(str(data["name"]))
         hist.count = int(data["count"])  # type: ignore[arg-type]
         hist.total = float(data["total"])  # type: ignore[arg-type]
-        hist.min = None if data["min"] is None else float(data["min"])  # type: ignore[arg-type]
-        hist.max = None if data["max"] is None else float(data["max"])  # type: ignore[arg-type]
+        hist.min = _extremum(data["min"])
+        hist.max = _extremum(data["max"])
         hist._buckets = {int(bucket): int(count) for bucket, count in data["buckets"]}  # type: ignore[union-attr]
         return hist
 

@@ -485,48 +485,45 @@ def test_work_sigterm_drains_gracefully_and_releases_claim(tmp_path):
         assert broker.claim("successor") is not None  # no TTL wait
 
 
-def test_submit_streams_progress_through_tcp_service(tmp_path, capsys, monkeypatch):
-    """`submit` pointed at a tcp:// endpoint rides the service protocol:
-    structured submit report, live progress events, exit 0 on drain."""
-    import threading
-    import time
+def test_work_drains_by_signal_even_when_the_exception_is_swallowed(
+    tmp_path, capsys, monkeypatch
+):
+    """The exit status follows the signal, not the handler's exception:
+    a drain raised while the GC finalises a suspended generator is
+    dropped, and the worker then returns normally after its spec."""
+    import signal
 
     from repro.fabric.worker import Worker
-    from repro.service.server import ReproService, ServiceThread
-    from tests.test_runner_supervision import fake_result
 
-    specs = _tiny_gridded(monkeypatch)
-    service = ReproService(tmp_path / "broker", durable=False,
-                           poll_interval_s=0.02)
-    thread = ServiceThread(service).start()
-    try:
-        def drain_once_submitted():
-            # wait for the grid to land: a drain-mode worker on a still
-            # empty broker would see drained() and exit before the CLI
-            # even submits
-            deadline = time.monotonic() + 30.0
-            while (service.broker.counts()["total"] < len(specs)
-                   and time.monotonic() < deadline):
-                time.sleep(0.01)
-            Worker(
-                service.broker, execute=fake_result, poll_interval_s=0.01
-            ).run()
+    def swallowing_run(self, drain=True):
+        try:
+            signal.raise_signal(signal.SIGTERM)
+        except BaseException:
+            pass
+        return 0
 
-        worker = threading.Thread(target=drain_once_submitted)
-        worker.start()
-        code = main(["submit", "mapping", "--broker", thread.address,
-                     "--size", "tiny"])
-        worker.join(30.0)
-    finally:
-        thread.drain(timeout_s=30.0)
-    assert code == 0
-    out = capsys.readouterr().out
-    assert f"{len(specs)} spec(s): {len(specs)} enqueued" in out
-    assert "grid complete" in out
+    monkeypatch.setattr(Worker, "run", swallowing_run)
+    assert main(["work", "--broker", str(tmp_path / "farm")]) == 143
+    assert "drained by signal 15" in capsys.readouterr().out
 
 
-def test_serve_and_grid_commands_validate_endpoints(tmp_path):
-    with pytest.raises(SystemExit):
-        main(["serve", "--broker", "tcp://127.0.0.1:7741"])  # needs a dir
-    with pytest.raises(SystemExit):
-        main(["mapping", "--broker", "tcp://127.0.0.1:7741"])  # grids need a dir
+def test_serve_and_grid_commands_validate_endpoints(tmp_path, capsys, monkeypatch):
+    """There is no socket service: `serve` is not a command, and a
+    tcp:// --broker is a usage error rather than a local directory that
+    no worker would ever drain."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["serve", "--broker", "farm"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice" in err and "serve" in err
+    for argv in (
+        ["work"],
+        ["submit", "mapping", "--size", "tiny"],
+        ["mapping", "--size", "tiny"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--broker", "tcp://127.0.0.1:7741"])
+        assert exc.value.code == 2, argv
+        assert "directory that all workers share" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())  # no farm/ or tcp:/ directory

@@ -124,7 +124,7 @@ PROVOKE = {
 
 
 def test_every_fault_point_has_a_provoker():
-    # the network points have their own provokers in test_service_chaos
+    # FS_POINTS is every point the protocol exposes
     assert set(PROVOKE) == set(faultpoints.FS_POINTS)
 
 

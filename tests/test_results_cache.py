@@ -142,6 +142,15 @@ def test_no_cache_bypasses_reads_and_writes(tmp_path):
 # -- corruption ----------------------------------------------------------------------
 
 
+def _entry_with_string_histogram_min() -> bytes:
+    """A well-formed entry for SPEC whose one histogram ``min`` is a string."""
+    result = fake_result(SPEC).to_json_dict()
+    result["stats"]["histograms"]["dl.packet_ns"]["min"] = "0.0"
+    payload = {"key": SPEC.cache_key(), "code_version": CODE_VERSION,
+               "spec": None, "result": result}
+    return json.dumps(payload, sort_keys=True).encode()
+
+
 @pytest.mark.parametrize(
     "corruption",
     [
@@ -150,6 +159,9 @@ def test_no_cache_bypasses_reads_and_writes(tmp_path):
         b"not json at all",
         b'{"unexpected": "schema"}',  # valid JSON, wrong shape
         b'{"result": {"time_ps": "NaNish"}}',  # schema half-right
+        pytest.param(  # right key and version, one wrong field type
+            _entry_with_string_histogram_min(), id="histogram-min-is-a-string"
+        ),
     ],
 )
 def test_corrupted_entries_are_misses_not_errors(tmp_path, corruption):

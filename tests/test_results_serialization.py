@@ -109,3 +109,14 @@ def test_real_simulation_result_round_trips():
     assert rebuilt == result
     assert rebuilt.traffic_breakdown == result.traffic_breakdown
     assert rebuilt.mean_bus_occupancy == result.mean_bus_occupancy
+
+    # a reload serializes to the same bytes; ``==`` cannot see int
+    # histogram extrema (DLRM/APSP stamps) coming back as floats
+    dlrm = RunSpec(config="16D-8C", workload="dlrm", size="tiny",
+                   params="batch_size=4")
+    apsp = RunSpec(config="16D-8C", workload="apsp", size="tiny",
+                   params="block=12,n=48")
+    for fresh in (result, execute_spec(dlrm), execute_spec(apsp)):
+        wire = json.dumps(fresh.to_json_dict(), sort_keys=True)
+        reloaded = RunResult.from_json_dict(json.loads(wire))
+        assert json.dumps(reloaded.to_json_dict(), sort_keys=True) == wire
