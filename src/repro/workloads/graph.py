@@ -4,11 +4,14 @@ The paper evaluates BFS/SSSP/PageRank on the LiveJournal graph.  We cannot
 trace a 68M-edge graph in-process, so workloads run on scaled R-MAT
 (Kronecker) graphs, which preserve the skewed power-law degree structure
 that makes those kernels IDC-heavy (see DESIGN.md substitutions).
-Generation is deterministic per seed.
+Generation is deterministic per seed, so :func:`shared_rmat` and
+:func:`shared_streamed_rmat` build each generated input once per process
+and hand every caller the same read-only object.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Iterator, List, Tuple
 
 import numpy as np
@@ -22,6 +25,11 @@ RMAT_MAX_SCALE = 24
 RMAT_STREAM_MAX_SCALE = 34
 #: edges generated per streaming batch (bounds peak memory).
 DEFAULT_STREAM_BATCH = 1 << 18
+#: generated inputs kept per process, per kind (in-RAM graphs, streamed
+#: graphs, streamed crossing matrices).  One figure grid uses one graph
+#: per kind, so a small bound shares every rebuild without letting a
+#: long sweep over seeds or scales pin them all.
+GRAPH_MEMO_SIZE = 4
 
 
 class Graph:
@@ -195,7 +203,9 @@ class StreamedRMAT:
     the block-crossing matrix.  The edge list itself never exists in
     RAM — peak footprint is a few ``batch_edges``-long scratch arrays
     plus the V-long degree array, which is what lets ``--size large``
-    reach millions of vertices.
+    reach millions of vertices.  Its arrays and crossing matrices are
+    read-only, so one instance can serve every spec of a process
+    (:func:`shared_streamed_rmat`).
     """
 
     def __init__(
@@ -217,14 +227,16 @@ class StreamedRMAT:
         self.batch_edges = batch_edges
         self.num_vertices = 1 << scale
         degrees = np.zeros(self.num_vertices, dtype=np.int64)
-        for src, _dst in self._stream():
+        for src, _dst in rmat_stream(*self._stream_args()):
             degrees += np.bincount(src, minlength=self.num_vertices)
         self.degrees = degrees
         self.num_edges = int(degrees.sum())
         self.indptr = np.concatenate(([0], np.cumsum(degrees))).astype(np.int64)
+        self.degrees.flags.writeable = self.indptr.flags.writeable = False
 
-    def _stream(self) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-        return rmat_stream(
+    def _stream_args(self) -> tuple:
+        """Every argument that determines the edge stream."""
+        return (
             self.scale,
             self.edge_factor,
             self.seed,
@@ -236,26 +248,36 @@ class StreamedRMAT:
         )
 
     def cross_partition(self, bounds: np.ndarray, parts: "int | None" = None) -> np.ndarray:
-        """``parts x parts`` edge-crossing matrix for block ``bounds``."""
+        """``parts x parts`` edge-crossing matrix for block ``bounds``.
+
+        Read-only and memoized per process for each ``(stream, bounds,
+        parts)``: one stream pass per distinct partition of a graph.
+        """
         bounds = np.asarray(bounds)
         if parts is None:
             parts = len(bounds) - 1
-        matrix = np.zeros((parts, parts), dtype=np.int64)
-        for src, dst in self._stream():
-            src_part = np.clip(
-                np.searchsorted(bounds, src, side="right") - 1, 0, parts - 1
-            )
-            dst_part = np.clip(
-                np.searchsorted(bounds, dst, side="right") - 1, 0, parts - 1
-            )
-            np.add.at(matrix, (src_part, dst_part), 1)
-        return matrix
+        return _stream_crossings(self._stream_args(), tuple(bounds.tolist()), parts)
 
     def __repr__(self) -> str:
         return (
             f"StreamedRMAT(V={self.num_vertices}, E={self.num_edges}, "
             f"scale={self.scale})"
         )
+
+
+@functools.lru_cache(maxsize=GRAPH_MEMO_SIZE)
+def _stream_crossings(
+    stream_args: tuple, bounds: Tuple[int, ...], parts: int
+) -> np.ndarray:
+    """Count the edges of ``rmat_stream(*stream_args)`` between blocks."""
+    cuts = np.asarray(bounds)
+    matrix = np.zeros((parts, parts), dtype=np.int64)
+    for src, dst in rmat_stream(*stream_args):
+        src_part = np.clip(np.searchsorted(cuts, src, side="right") - 1, 0, parts - 1)
+        dst_part = np.clip(np.searchsorted(cuts, dst, side="right") - 1, 0, parts - 1)
+        np.add.at(matrix, (src_part, dst_part), 1)
+    matrix.flags.writeable = False
+    return matrix
 
 
 def bisection_refine(graph: Graph, rounds: int = 4) -> Graph:
@@ -290,6 +312,26 @@ def bisection_refine(graph: Graph, rounds: int = 4) -> Graph:
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n)
     return from_edges(n, rank[src], rank[graph.indices])
+
+
+@functools.lru_cache(maxsize=GRAPH_MEMO_SIZE)
+def shared_rmat(scale: int, edge_factor: int, seed: int) -> Graph:
+    """The partition-refined R-MAT graph, built once per process.
+
+    ``bisection_refine(rmat(scale, edge_factor, seed))`` with read-only
+    CSR arrays: every graph kernel that generates this graph gets this
+    one object.  A hit cannot differ from a miss, since generation is
+    deterministic and no caller can write the arrays.
+    """
+    graph = bisection_refine(rmat(scale, edge_factor, seed))
+    graph.indptr.flags.writeable = graph.indices.flags.writeable = False
+    return graph
+
+
+@functools.lru_cache(maxsize=GRAPH_MEMO_SIZE)
+def shared_streamed_rmat(scale: int, edge_factor: int, seed: int) -> StreamedRMAT:
+    """``StreamedRMAT(scale, edge_factor, seed)``, built once per process."""
+    return StreamedRMAT(scale, edge_factor, seed)
 
 
 def cross_fraction(graph: Graph, parts: int = 2) -> float:

@@ -20,11 +20,11 @@ from repro.errors import WorkloadError
 from repro.workloads.base import Workload
 from repro.workloads.graph import (
     Graph,
-    StreamedRMAT,
     bisection_refine,
     cross_partition_edges,
     grouped_edge_balanced_bounds,
-    rmat,
+    shared_rmat,
+    shared_streamed_rmat,
 )
 
 #: bytes per unit of per-vertex state (rank, distance, level).
@@ -68,12 +68,14 @@ class GraphKernel(Workload):
                 raise WorkloadError("streaming mode generates its own graph")
             self.graph = None
             self._stream_args = (scale, edge_factor, seed)
-            self._stream: Optional[StreamedRMAT] = None
+        elif graph is None:
+            # generated inputs are built once per process and shared
+            # read-only (see shared_rmat)
+            self.graph = shared_rmat(scale, edge_factor, seed)
         else:
-            self.graph = graph if graph is not None else rmat(scale, edge_factor, seed)
             # partition the input before distributing it (the METIS step the
             # paper's LiveJournal runs imply): minimise group-crossing edges
-            self.graph = bisection_refine(self.graph)
+            self.graph = bisection_refine(graph)
         #: traffic multiplier: the kernel moves the byte volumes of a graph
         #: ``byte_scale`` x larger, using this graph's edge *distribution*.
         #: Bridges the gap between simulable graph sizes and the paper's
@@ -85,9 +87,7 @@ class GraphKernel(Workload):
         """The in-RAM Graph, or the streamed degree/partition statistics."""
         if self.graph is not None:
             return self.graph
-        if self._stream is None:
-            self._stream = StreamedRMAT(*self._stream_args)
-        return self._stream
+        return shared_streamed_rmat(*self._stream_args)
 
     def _layout(self, num_threads: int, num_dimms: int) -> dict:
         """Per-(block, dimm) edge counts and per-block sizes (cached)."""
@@ -158,11 +158,9 @@ class GraphKernel(Workload):
     ) -> Dict[int, int]:
         """Per-DIMM gather byte counts from an edge histogram row."""
         factor = STATE_BYTES * scale * dedup
-        return {
-            d: int(count * factor)
-            for d, count in enumerate(edges_per_dimm)
-            if int(count * factor) > 0
-        }
+        # truncates toward zero like int(); tolist() yields Python ints
+        counts = (np.asarray(edges_per_dimm) * factor).astype(np.int64).tolist()
+        return {d: count for d, count in enumerate(counts) if count > 0}
 
 
 def natural_homes(num_threads: int, num_dimms: int) -> List[int]:

@@ -3,9 +3,16 @@
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import WorkloadError
-from repro.workloads.graphkernels import GraphKernel, data_dimm, natural_homes
+from repro.workloads.graphkernels import (
+    STATE_BYTES,
+    GraphKernel,
+    data_dimm,
+    natural_homes,
+)
 from repro.workloads.bfs import BFS
 from repro.workloads.graph import rmat
 
@@ -73,6 +80,32 @@ def test_spread_bytes_applies_dedup_and_scale():
     spread = GraphKernel.spread_bytes(row, scale=0.5, dedup=0.5)
     assert spread == {0: 100 * 8 // 4, 2: 50 * 8 // 4}
     assert 1 not in spread
+
+
+def _reference_spread_bytes(edges_per_dimm, scale, dedup):
+    """The per-element comprehension ``spread_bytes`` replaced."""
+    factor = STATE_BYTES * scale * dedup
+    return {
+        d: int(count * factor)
+        for d, count in enumerate(edges_per_dimm)
+        if int(count * factor) > 0
+    }
+
+
+# counts up to 2**53 times factors up to 32 still fit int64, where both
+# paths agree; real edge counts are far smaller
+@given(
+    row=st.lists(st.integers(0, 1 << 53), min_size=1, max_size=32).map(
+        lambda counts: np.array(counts, dtype=np.int64)
+    ),
+    scale=st.floats(0.0, 2.0),
+    dedup=st.floats(0.0, 2.0),
+)
+def test_spread_bytes_matches_the_reference_comprehension(row, scale, dedup):
+    spread = GraphKernel.spread_bytes(row, scale=scale, dedup=dedup)
+    reference = _reference_spread_bytes(row, scale, dedup)
+    assert list(spread.items()) == list(reference.items())
+    assert all(type(value) is int for value in spread.values())
 
 
 def test_explicit_graph_skips_generation():
