@@ -45,14 +45,7 @@ from repro.experiments.common import (
     run_optimized,
     threads_for,
 )
-from repro.faults import (
-    BridgeFault,
-    DimmFault,
-    FaultSchedule,
-    LinkDegrade,
-    LinkDown,
-    LinkOutage,
-)
+from repro.faults import FaultSchedule, LinkDown
 from repro.host.cpu import HostCPUSystem
 from repro.idc import make_mechanism, mechanism_names
 from repro.mapping import distance_aware_placement, profile_traffic
@@ -79,12 +72,8 @@ __all__ = [
     "RoutingError",
     "SimulationError",
     "WorkloadError",
-    "BridgeFault",
-    "DimmFault",
     "FaultSchedule",
-    "LinkDegrade",
     "LinkDown",
-    "LinkOutage",
     "build_workload",
     "run_cpu",
     "run_nmp",

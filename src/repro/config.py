@@ -85,20 +85,6 @@ class LinkConfig:
     wire_latency_ns: float = 2.0
     #: energy per bit moved on the link (GRS: 1.17 pJ/b).
     energy_pj_per_bit: float = 1.17
-    #: credits per link direction (packets in flight before backpressure).
-    credits: int = 8
-    #: per-hop CRC-failure probability (failure-injection studies; the
-    #: data-link layer retries, costing ``retry`` latency + re-occupancy).
-    error_rate: float = 0.0
-    #: ACK-timeout penalty per retransmission (also the exponential-
-    #: backoff base of the bounded retry loop).
-    retry_penalty_ns: float = 500.0
-    #: retransmissions per hop before the DLL gives up with a
-    #: :class:`~repro.errors.LinkFailure` (escalated to host forwarding).
-    max_retries: int = 8
-    #: consecutive ACK timeouts before the watchdog declares a link dead
-    #: and flips it in the routing tables.
-    watchdog_threshold: int = 3
 
     def scaled(self, bandwidth_gbps: float) -> "LinkConfig":
         """A copy with a different link bandwidth (Fig. 16 sweeps)."""

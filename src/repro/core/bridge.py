@@ -45,10 +45,6 @@ class DLBridge:
                 wire_latency_ps=ns(link.wire_latency_ns),
                 stats=stats,
                 name=f"grp{group_index}",
-                error_rate=link.error_rate,
-                retry_penalty_ps=ns(link.retry_penalty_ns),
-                max_retries=link.max_retries,
-                watchdog_threshold=link.watchdog_threshold,
             )
             self.networks.append(network)
             for position, dimm_id in enumerate(group):
@@ -100,7 +96,8 @@ class DLBridge:
 
     # -- fault application (driven by repro.faults.FaultInjector) --------------------
 
-    def _link_endpoints(self, dimm_a: int, dimm_b: int) -> Tuple[PacketNetwork, int, int]:
+    def fail_link_between(self, dimm_a: int, dimm_b: int) -> bool:
+        """Physically kill the bridge link between two adjacent DIMMs."""
         group_a, pos_a = self.locate(dimm_a)
         group_b, pos_b = self.locate(dimm_b)
         if group_a != group_b:
@@ -108,44 +105,7 @@ class DLBridge:
                 f"DIMMs {dimm_a} and {dimm_b} share no bridge link "
                 f"(different groups)"
             )
-        return self.networks[group_a], pos_a, pos_b
-
-    def fail_link_between(self, dimm_a: int, dimm_b: int) -> bool:
-        """Physically kill the bridge link between two adjacent DIMMs."""
-        network, pos_a, pos_b = self._link_endpoints(dimm_a, dimm_b)
-        return network.fail_link(pos_a, pos_b)
-
-    def restore_link_between(self, dimm_a: int, dimm_b: int) -> bool:
-        """Repair the bridge link between two adjacent DIMMs."""
-        network, pos_a, pos_b = self._link_endpoints(dimm_a, dimm_b)
-        return network.restore_link(pos_a, pos_b)
-
-    def degrade_link_between(self, dimm_a: int, dimm_b: int, fraction: float) -> None:
-        """Lane-degrade the link between two adjacent DIMMs."""
-        network, pos_a, pos_b = self._link_endpoints(dimm_a, dimm_b)
-        network.degrade_link(pos_a, pos_b, fraction)
-
-    def fail_dimm_links(self, dimm_id: int) -> int:
-        """Kill every bridge link adjacent to a DIMM (its DL interface died).
-
-        Returns how many links were newly taken down.
-        """
-        group, pos = self.locate(dimm_id)
-        network = self.networks[group]
-        downed = 0
-        for a, b in network.topology.edges:
-            if pos in (a, b) and network.fail_link(a, b):
-                downed += 1
-        return downed
-
-    def fail_group(self, group_index: int) -> int:
-        """Kill every link of a group (the bridge PCB itself failed)."""
-        network = self.networks[group_index]
-        downed = 0
-        for a, b in network.topology.edges:
-            if network.fail_link(a, b):
-                downed += 1
-        return downed
+        return self.networks[group_a].fail_link(pos_a, pos_b)
 
     def finalize_stats(self) -> float:
         """Flush per-link availability stats; return the worst availability."""

@@ -304,7 +304,7 @@ def main(argv=None) -> int:
         retries=args.retries,
         spec_timeout=args.spec_timeout,
         retry_dead_letter=args.retry_dead_letter,
-        broker=args.broker,
+        broker=None if args.broker is None else _open_broker(args),
     )
     interrupted = False
     failed_experiments = 0
@@ -350,7 +350,7 @@ def _cache_dir_for(args) -> str:
 
 
 def _open_broker(args):
-    """Build the WorkBroker the fabric commands share."""
+    """Build the WorkBroker every ``--broker`` command shares."""
     from repro.fabric.broker import BrokerConfig, WorkBroker
 
     # only consulted when this call *creates* the broker; an existing

@@ -145,7 +145,7 @@ class RunSpec:
     placement: str = "natural"
     placement_seed: int = 7
     #: fraction of each DL group's bridge links killed mid-run (0 = no
-    #: fault schedule installed).
+    #: fault schedule installed); ``kind="nmp"`` only.
     fault_fraction: float = 0.0
     #: workload parameter overrides as ``"key=value,key=value"`` (empty =
     #: pure size preset).  Canonicalized to sorted-key order on
@@ -180,6 +180,11 @@ class RunSpec:
         if not 0.0 <= self.fault_fraction <= 1.0:
             raise ConfigError(
                 f"fault_fraction {self.fault_fraction} outside [0, 1]"
+            )
+        if self.fault_fraction > 0.0 and self.kind != "nmp":
+            raise ConfigError(
+                f"kind={self.kind!r} installs no fault schedule; "
+                "fault_fraction needs kind='nmp'"
             )
         if self.params:
             canonical = ",".join(
@@ -1057,28 +1062,23 @@ def configure(
     spec_timeout: Optional[float] = None,
     strict: bool = True,
     retry_dead_letter: bool = False,
-    broker: Optional[str] = None,
+    broker: Optional[object] = None,
 ) -> SweepRunner:
     """Install (and return) the default runner experiments will use.
 
     The dead-letter store lives next to the results cache: configuring a
     cache directory makes quarantines persistent (reruns skip them), with
-    ``retry_dead_letter`` forcing a fresh attempt.  With ``broker``, grid
-    misses drain through the distributed fabric
-    (:mod:`repro.fabric`) instead of a local process pool; the cache and
-    quarantine then default to the broker's shared ones.
+    ``retry_dead_letter`` forcing a fresh attempt.  With ``broker`` (a
+    built :class:`~repro.fabric.broker.WorkBroker`), grid misses drain
+    through the distributed fabric (:mod:`repro.fabric`) instead of a
+    local process pool, and the runner takes the broker's shared cache
+    and quarantine; ``cache_dir`` is then unused.
     """
     global _default_runner
-    broker_obj = None
-    if broker is not None:
-        from repro.fabric.broker import WorkBroker
-
-        broker_obj = WorkBroker(broker, cache_dir=cache_dir)
-        cache = broker_obj.cache if use_cache else None
-        store: Optional[DeadLetterStore] = broker_obj.dead_letters
-    else:
-        cache = ResultsCache(cache_dir) if (cache_dir and use_cache) else None
-        store = DeadLetterStore(cache.cache_dir) if cache is not None else None
+    cache = None
+    if broker is None and cache_dir and use_cache:
+        cache = ResultsCache(cache_dir)
+    store = DeadLetterStore(cache.cache_dir) if cache is not None else None
     _default_runner = SweepRunner(
         jobs=jobs,
         cache=cache,
@@ -1088,7 +1088,7 @@ def configure(
         strict=strict,
         dead_letter_store=store,
         retry_dead_letter=retry_dead_letter,
-        broker=broker_obj,
+        broker=broker,
     )
     return _default_runner
 

@@ -155,6 +155,7 @@ class Worker:
             spec = RunSpec(**record.spec)  # type: ignore[arg-type]
             result = supervised_call(self.execute, spec, self.spec_timeout)
         except Exception as exc:
+            self._stop_heartbeat(heartbeat)
             self.failed += 1
             self.broker.fail(
                 key,
@@ -166,12 +167,19 @@ class Worker:
         else:
             self.broker.cache.put(key, result, spec=record.spec)
             faultpoints.trip("worker.publish.after_cache_put")
+            self._stop_heartbeat(heartbeat)
             self.broker.complete(key, self.worker_id)
             self.completed += 1
             self.current_key = None
         finally:
-            heartbeat.set()
-            self._join_heartbeat()
+            self._stop_heartbeat(heartbeat)
+
+    def _stop_heartbeat(self, heartbeat: threading.Event) -> None:
+        """End the beat before ``complete``/``fail`` releases the lease: a
+        beat renewing after the release would find no lease and count it
+        lost."""
+        heartbeat.set()
+        self._join_heartbeat()
 
     def _start_heartbeat(self, key: str) -> threading.Event:
         """Renew the lease on ``key`` until the returned event is set.

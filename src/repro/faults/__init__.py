@@ -3,8 +3,7 @@
 The subsystem has three parts:
 
 * :mod:`repro.faults.schedule` — declarative fault descriptions
-  (:class:`FaultSchedule` over :class:`LinkDown`, :class:`LinkOutage`,
-  :class:`LinkDegrade`, :class:`DimmFault`, :class:`BridgeFault`),
+  (:class:`FaultSchedule` over :class:`LinkDown`),
 * :mod:`repro.faults.injector` — :class:`FaultInjector`, which arms the
   scheduled faults on a built system's DL bridge,
 * :mod:`repro.faults.watchdog` — :class:`LinkWatchdog`, the ACK-timeout
@@ -17,26 +16,13 @@ catches and escalates to host CPU-forwarding (the paper's own hybrid-
 routing fallback, Sec. III-C).
 """
 
-from repro.faults.schedule import (
-    BridgeFault,
-    DimmFault,
-    Fault,
-    FaultSchedule,
-    LinkDegrade,
-    LinkDown,
-    LinkOutage,
-)
+from repro.faults.schedule import FaultSchedule, LinkDown
 from repro.faults.injector import FaultInjector
 from repro.faults.watchdog import LinkWatchdog
 
 __all__ = [
-    "BridgeFault",
-    "DimmFault",
-    "Fault",
     "FaultInjector",
     "FaultSchedule",
-    "LinkDegrade",
     "LinkDown",
-    "LinkOutage",
     "LinkWatchdog",
 ]

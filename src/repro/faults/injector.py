@@ -9,9 +9,7 @@ the bridge — the injector knows *when*, the bridge knows *how*.
 Counters written under ``fault.``:
 
 * ``fault.injected`` — faults applied so far,
-* ``fault.links_down`` / ``fault.links_restored`` — link state flips,
-* ``fault.links_degraded`` — lane-degradation events,
-* ``fault.dimms_failed`` / ``fault.bridges_failed`` — coarse faults.
+* ``fault.links_down`` — links taken down.
 """
 
 from __future__ import annotations
@@ -19,16 +17,7 @@ from __future__ import annotations
 from typing import List
 
 from repro.errors import FaultError
-from repro.faults.schedule import (
-    BridgeFault,
-    DimmFault,
-    Fault,
-    FaultSchedule,
-    LinkDegrade,
-    LinkDown,
-    LinkFault,
-    LinkOutage,
-)
+from repro.faults.schedule import FaultSchedule, LinkDown
 
 
 class FaultInjector:
@@ -39,69 +28,32 @@ class FaultInjector:
         self.bridge = bridge
         self.schedule = schedule
         self.stats = stats
-        self.applied: List[Fault] = []
+        self.applied: List[LinkDown] = []
         for fault in schedule:
             self._validate(fault)
         for fault in schedule:
             sim.at(fault.time_ps, self._apply, fault)
 
-    # -- validation ------------------------------------------------------------------
+    def _validate(self, fault: LinkDown) -> None:
+        # locate() raises for unknown DIMMs; adjacency is checked here
+        group_a, pos_a = self.bridge.locate(fault.dimm_a)
+        group_b, pos_b = self.bridge.locate(fault.dimm_b)
+        if group_a != group_b:
+            raise FaultError(
+                f"{fault!r}: DIMMs {fault.dimm_a} and {fault.dimm_b} "
+                f"are in different DL groups"
+            )
+        # edge_key() raises RoutingError for non-adjacent positions
+        try:
+            self.bridge.networks[group_a].topology.edge_key(pos_a, pos_b)
+        except Exception as exc:
+            raise FaultError(
+                f"{fault!r}: DIMMs {fault.dimm_a} and {fault.dimm_b} "
+                f"share no bridge link"
+            ) from exc
 
-    def _validate(self, fault: Fault) -> None:
-        if isinstance(fault, LinkFault):
-            # locate() raises for unknown DIMMs; adjacency is checked here
-            group_a, pos_a = self.bridge.locate(fault.dimm_a)
-            group_b, pos_b = self.bridge.locate(fault.dimm_b)
-            if group_a != group_b:
-                raise FaultError(
-                    f"{fault!r}: DIMMs {fault.dimm_a} and {fault.dimm_b} "
-                    f"are in different DL groups"
-                )
-            # edge_key() raises RoutingError for non-adjacent positions
-            try:
-                self.bridge.networks[group_a].topology.edge_key(pos_a, pos_b)
-            except Exception as exc:
-                raise FaultError(
-                    f"{fault!r}: DIMMs {fault.dimm_a} and {fault.dimm_b} "
-                    f"share no bridge link"
-                ) from exc
-        elif isinstance(fault, DimmFault):
-            self.bridge.locate(fault.dimm)
-        elif isinstance(fault, BridgeFault):
-            if not 0 <= fault.group < len(self.bridge.networks):
-                raise FaultError(
-                    f"{fault!r}: no DL group {fault.group} "
-                    f"(have {len(self.bridge.networks)})"
-                )
-
-    # -- application -----------------------------------------------------------------
-
-    def _apply(self, fault: Fault) -> None:
+    def _apply(self, fault: LinkDown) -> None:
         self.stats.add("fault.injected")
         self.applied.append(fault)
-        if isinstance(fault, LinkDegrade):
-            self.bridge.degrade_link_between(fault.dimm_a, fault.dimm_b, fault.fraction)
-            self.stats.add("fault.links_degraded")
-        elif isinstance(fault, LinkOutage):
-            self.bridge.fail_link_between(fault.dimm_a, fault.dimm_b)
-            self.stats.add("fault.links_down")
-            self.sim.schedule(fault.duration_ps, self._restore, fault)
-        elif isinstance(fault, LinkDown):
-            self.bridge.fail_link_between(fault.dimm_a, fault.dimm_b)
-            self.stats.add("fault.links_down")
-        elif isinstance(fault, DimmFault):
-            self.stats.add(
-                "fault.links_down", self.bridge.fail_dimm_links(fault.dimm)
-            )
-            self.stats.add("fault.dimms_failed")
-        elif isinstance(fault, BridgeFault):
-            self.stats.add(
-                "fault.links_down", self.bridge.fail_group(fault.group)
-            )
-            self.stats.add("fault.bridges_failed")
-        else:  # pragma: no cover - schedule validates kinds
-            raise FaultError(f"unknown fault kind {fault!r}")
-
-    def _restore(self, fault: LinkOutage) -> None:
-        self.bridge.restore_link_between(fault.dimm_a, fault.dimm_b)
-        self.stats.add("fault.links_restored")
+        self.bridge.fail_link_between(fault.dimm_a, fault.dimm_b)
+        self.stats.add("fault.links_down")

@@ -2,142 +2,65 @@
 
 A :class:`FaultSchedule` is an ordered list of fault descriptions, each
 pinned to an absolute simulation time.  Schedules are plain data: they can
-be validated against a config, merged, and installed onto any built
+be validated against a config and installed onto any built
 :class:`~repro.nmp.system.NMPSystem` via :meth:`FaultSchedule.install`
 (which arms a :class:`~repro.faults.injector.FaultInjector`).
 
-Fault kinds
------------
-
-* :class:`LinkDown` — a SerDes link dies permanently at ``time_ps``,
-* :class:`LinkOutage` — a transient outage window (down, then restored
-  after ``duration_ps``),
-* :class:`LinkDegrade` — lane failure: the link survives at ``fraction``
-  of its nominal bandwidth,
-* :class:`DimmFault` — a DIMM's DL interface (its DL-controller / bridge
-  connector) dies: every link adjacent to it goes down.  The DIMM's
-  compute and DRAM stay reachable through the host channel, so traffic
-  fails over to CPU-forwarding,
-* :class:`BridgeFault` — a whole group's bridge PCB dies: every link in
-  the group goes down.
-
-Faults name DIMMs by their global DIMM id; the injector maps them to
-group-local bridge positions.
+The one fault kind is :class:`LinkDown`: a SerDes link between two
+adjacent DIMMs of a DL group dies permanently at ``time_ps``.  Faults name
+DIMMs by their global DIMM id; the injector maps them to group-local
+bridge positions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, Sequence, Tuple
 
 from repro.errors import FaultError
 
 
 @dataclass(frozen=True)
-class Fault:
-    """Base fault: something happens at ``time_ps``."""
+class LinkDown:
+    """Permanent failure of the link between two DIMMs at ``time_ps``."""
 
     time_ps: int
+    dimm_a: int
+    dimm_b: int
 
     def validate(self) -> None:
         """Self-check raising :class:`FaultError` on nonsense."""
         if self.time_ps < 0:
             raise FaultError(f"{self!r}: fault time must be non-negative")
-
-
-@dataclass(frozen=True)
-class LinkFault(Fault):
-    """A fault on the link between two (adjacent, same-group) DIMMs."""
-
-    dimm_a: int = 0
-    dimm_b: int = 0
-
-    def validate(self) -> None:
-        super().validate()
         if self.dimm_a == self.dimm_b:
             raise FaultError(f"{self!r}: a link needs two distinct DIMMs")
-
-
-@dataclass(frozen=True)
-class LinkDown(LinkFault):
-    """Permanent link failure at ``time_ps``."""
-
-
-@dataclass(frozen=True)
-class LinkOutage(LinkFault):
-    """Transient outage: down at ``time_ps``, restored ``duration_ps`` later."""
-
-    duration_ps: int = 0
-
-    def validate(self) -> None:
-        super().validate()
-        if self.duration_ps <= 0:
-            raise FaultError(f"{self!r}: outage duration must be positive")
-
-
-@dataclass(frozen=True)
-class LinkDegrade(LinkFault):
-    """Lane degradation to ``fraction`` of nominal bandwidth."""
-
-    fraction: float = 1.0
-
-    def validate(self) -> None:
-        super().validate()
-        if not 0.0 < self.fraction <= 1.0:
-            raise FaultError(
-                f"{self!r}: degrade fraction must be in (0, 1], "
-                f"got {self.fraction}"
-            )
-
-
-@dataclass(frozen=True)
-class DimmFault(Fault):
-    """The DIMM's DL interface fails: all its bridge links go down."""
-
-    dimm: int = 0
-
-
-@dataclass(frozen=True)
-class BridgeFault(Fault):
-    """A group's bridge PCB fails: every link in the group goes down."""
-
-    group: int = 0
-
-    def validate(self) -> None:
-        super().validate()
-        if self.group < 0:
-            raise FaultError(f"{self!r}: group index must be non-negative")
 
 
 class FaultSchedule:
     """An immutable, time-sorted collection of faults."""
 
-    def __init__(self, faults: Sequence[Fault] = ()) -> None:
+    def __init__(self, faults: Sequence[LinkDown] = ()) -> None:
         for fault in faults:
-            if not isinstance(fault, Fault):
-                raise FaultError(f"{fault!r} is not a Fault")
+            if not isinstance(fault, LinkDown):
+                raise FaultError(f"{fault!r} is not a LinkDown")
             fault.validate()
-        self._faults: Tuple[Fault, ...] = tuple(
+        self._faults: Tuple[LinkDown, ...] = tuple(
             sorted(faults, key=lambda f: f.time_ps)
         )
 
     @property
-    def faults(self) -> Tuple[Fault, ...]:
+    def faults(self) -> Tuple[LinkDown, ...]:
         """The scheduled faults in time order."""
         return self._faults
 
     def __len__(self) -> int:
         return len(self._faults)
 
-    def __iter__(self) -> Iterator[Fault]:
+    def __iter__(self) -> Iterator[LinkDown]:
         return iter(self._faults)
 
     def __bool__(self) -> bool:
         return bool(self._faults)
-
-    def merged(self, other: "FaultSchedule") -> "FaultSchedule":
-        """A new schedule combining this one and ``other``."""
-        return FaultSchedule(self._faults + other.faults)
 
     def install(self, system) -> "object | None":
         """Arm this schedule on a built NMP system.

@@ -4,11 +4,8 @@ A dead SerDes link produces no ACKs and no reverse-channel credit traffic;
 the only observable symptom at the sender is repeated ACK silence.  The
 :class:`LinkWatchdog` counts *consecutive* ACK timeouts per link and, once
 a threshold is crossed, declares the link dead — the owning network flips
-it in the topology's link-state table so routing stops using it.
-
-CRC-corrupted frames do **not** feed the watchdog: a lossy-but-alive link
-still carries reverse traffic, and transient bit errors must not take
-links out of service (they are handled by the DLL retry loop alone).
+it in the topology's link-state table so routing stops using it.  A dead
+link stays dead.
 """
 
 from __future__ import annotations
@@ -21,7 +18,7 @@ Edge = Tuple[int, int]
 class LinkWatchdog:
     """Per-link consecutive-ACK-timeout counter with a dead declaration."""
 
-    def __init__(self, threshold: int = 3, name: str = "dl") -> None:
+    def __init__(self, threshold: int, name: str = "dl") -> None:
         if threshold <= 0:
             raise ValueError(f"{name}: watchdog threshold must be positive")
         self.threshold = threshold
@@ -48,11 +45,6 @@ class LinkWatchdog:
         """An ACKed delivery resets the link's consecutive-timeout count."""
         if self._timeouts.get(edge):
             self._timeouts[edge] = 0
-
-    def reset(self, edge: Edge) -> None:
-        """Forget a link's history (called when a link is repaired)."""
-        self._timeouts.pop(edge, None)
-        self._dead.discard(edge)
 
     def is_dead(self, edge: Edge) -> bool:
         """Whether the watchdog has declared the link dead."""

@@ -10,14 +10,12 @@ the effects Fig. 16/17 of the paper attribute to network diameter.
 Degraded operation
 ------------------
 
-Every undirected link carries dynamic health state (:class:`LinkState`):
-physically up/down and a lane-degradation fraction.  Routing is adaptive —
-each hop consults the topology's live routing tables, which the
-:class:`~repro.faults.watchdog.LinkWatchdog` updates when it declares a
-link dead after consecutive ACK timeouts.  Per-hop delivery runs a bounded
-retry loop with exponential backoff covering both transient CRC failures
-(the retransmission itself can fail again) and dead links (pure ACK
-silence); exhaustion — or the loss of every route — raises
+A link can die (:meth:`PacketNetwork.fail_link`) and stays dead.  Routing
+is adaptive — each hop consults the topology's live routing tables, which
+the :class:`~repro.faults.watchdog.LinkWatchdog` updates when it declares
+a link dead after :data:`WATCHDOG_THRESHOLD` consecutive ACK timeouts.
+Per-hop delivery over a dead link runs a bounded retry loop with
+exponential backoff; exhaustion — or the loss of every route — raises
 :class:`~repro.errors.LinkFailure` through the transfer's completion
 event, which the DIMM-Link IDC layer catches and escalates to host
 CPU-forwarding.
@@ -25,8 +23,8 @@ CPU-forwarding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, Tuple
 
 from repro.errors import LinkFailure, RoutingError
 from repro.faults.watchdog import LinkWatchdog
@@ -39,6 +37,16 @@ Edge = Tuple[int, int]
 
 #: exponential-backoff ceiling, as a multiple of the base retry penalty.
 MAX_BACKOFF_FACTOR = 8
+#: ACK-timeout penalty per retransmission (500 ns); also the base of the
+#: exponential backoff.
+RETRY_PENALTY_PS = 500_000
+MAX_BACKOFF_PS = RETRY_PENALTY_PS * MAX_BACKOFF_FACTOR
+#: retransmissions per hop before delivery gives up with
+#: :class:`~repro.errors.LinkFailure` (escalated to host forwarding).
+MAX_RETRIES = 8
+#: consecutive ACK timeouts before the watchdog declares a link dead
+#: and flips it in the routing tables.
+WATCHDOG_THRESHOLD = 3
 
 
 @dataclass
@@ -49,16 +57,8 @@ class LinkState:
     up: bool = True
     #: routing-table view — set once the watchdog declares the link dead.
     marked_down: bool = False
-    #: surviving fraction of nominal bandwidth (lane degradation).
-    degrade: float = 1.0
-    #: nominal per-direction bandwidth, for degrade/restore arithmetic.
-    nominal_bytes_per_ns: float = 0.0
-    #: when the current physical outage started (-1 when up).
+    #: when the link died (-1 while up).
     down_since_ps: int = -1
-    #: accumulated physical downtime of completed outages.
-    down_ps: int = 0
-    #: per-direction resources (filled at network construction).
-    directions: List[BandwidthResource] = field(default_factory=list)
 
 
 class PacketNetwork:
@@ -73,44 +73,24 @@ class PacketNetwork:
         wire_latency_ps: int,
         stats: StatRegistry,
         name: str = "dl",
-        error_rate: float = 0.0,
-        retry_penalty_ps: int = 500_000,
-        max_retries: int = 8,
-        watchdog_threshold: int = 3,
     ) -> None:
-        if not 0.0 <= error_rate < 1.0:
-            raise RoutingError(f"{name}: error rate {error_rate} outside [0, 1)")
-        if max_retries < 1:
-            raise RoutingError(f"{name}: max_retries must be at least 1")
         self.sim = sim
         self.topology = topology
         self.hop_latency_ps = hop_latency_ps
         self.stats = stats
         self.name = name
-        #: per-hop probability of a CRC failure forcing a DLL retransmit.
-        self.error_rate = error_rate
-        #: ACK-timeout + retransmission serialisation cost per error; also
-        #: the base of the exponential backoff.
-        self.retry_penalty_ps = retry_penalty_ps
-        #: retransmissions before a hop gives up with :class:`LinkFailure`.
-        self.max_retries = max_retries
-        self.max_backoff_ps = retry_penalty_ps * MAX_BACKOFF_FACTOR
-        self._error_counter = 0
         self._links: Dict[Edge, BandwidthResource] = {}
         self._state: Dict[Edge, LinkState] = {}
         for a, b in topology.edges:
-            state = LinkState(nominal_bytes_per_ns=bandwidth_gbps)
-            self._state[(a, b)] = state
+            self._state[(a, b)] = LinkState()
             for src, dst in ((a, b), (b, a)):
-                link = BandwidthResource(
+                self._links[(src, dst)] = BandwidthResource(
                     sim,
                     bytes_per_ns=bandwidth_gbps,
                     latency_ps=wire_latency_ps,
                     name=f"{name}.link{src}->{dst}",
                 )
-                self._links[(src, dst)] = link
-                state.directions.append(link)
-        self.watchdog = LinkWatchdog(threshold=watchdog_threshold, name=name)
+        self.watchdog = LinkWatchdog(threshold=WATCHDOG_THRESHOLD, name=name)
         self.watchdog.on_dead = self._on_watchdog_dead
         # event/process labels are fixed per network: build them once
         # instead of formatting a fresh string on every packet
@@ -144,67 +124,33 @@ class PacketNetwork:
 
     # -- link health -----------------------------------------------------------------
 
-    def link_state(self, a: int, b: int) -> LinkState:
-        """Health record of the undirected link ``a<->b``."""
-        return self._state[self.topology.edge_key(a, b)]
-
     def fail_link(self, a: int, b: int) -> bool:
-        """Physically kill the link ``a<->b`` (both directions).
+        """Physically kill the link ``a<->b`` (both directions) for good.
 
         Routing tables are *not* updated here — in-flight senders discover
         the failure through ACK silence, and the watchdog flips the link
         once enough consecutive timeouts accumulate.  Returns True when
         the link was up.
         """
-        state = self.link_state(a, b)
+        state = self._state[self.topology.edge_key(a, b)]
         if not state.up:
             return False
         state.up = False
         state.down_since_ps = self.sim.now
         return True
 
-    def restore_link(self, a: int, b: int) -> bool:
-        """Repair the link ``a<->b``: physical state, routing, watchdog."""
-        key = self.topology.edge_key(a, b)
-        state = self._state[key]
-        if state.up:
-            return False
-        state.up = True
-        state.down_ps += self.sim.now - state.down_since_ps
-        state.down_since_ps = -1
-        state.marked_down = False
-        self.watchdog.reset(key)
-        if self.topology.set_link_state(a, b, True):
-            self.stats.add("dl.links_restored")
-        return True
-
-    def degrade_link(self, a: int, b: int, fraction: float) -> None:
-        """Reduce the link to ``fraction`` of nominal bandwidth (both ways)."""
-        if not 0.0 < fraction <= 1.0:
-            raise LinkFailure(
-                f"{self.name}: degrade fraction {fraction} outside (0, 1]"
-            )
-        state = self.link_state(a, b)
-        state.degrade = fraction
-        for link in state.directions:
-            link.bytes_per_ns = state.nominal_bytes_per_ns * fraction
-        self.stats.add("dl.link_degradations")
-
     def _on_watchdog_dead(self, edge: Edge) -> None:
         """Watchdog verdict: flip the link in the routing tables."""
-        state = self._state[edge]
-        state.marked_down = True
+        self._state[edge].marked_down = True
         self.stats.add("dl.links_marked_down")
-        self.topology.set_link_state(edge[0], edge[1], False)
+        self.topology.set_link_down(*edge)
 
     def availability(self) -> Dict[Edge, float]:
         """Per-link fraction of simulated time the link was physically up."""
         now = self.sim.now
         out: Dict[Edge, float] = {}
         for edge, state in self._state.items():
-            down = state.down_ps
-            if not state.up and state.down_since_ps >= 0:
-                down += now - state.down_since_ps
+            down = 0 if state.up else now - state.down_since_ps
             out[edge] = 1.0 - down / now if now > 0 else 1.0
         return out
 
@@ -236,15 +182,6 @@ class PacketNetwork:
         )
         return done
 
-    def _hop_failed(self) -> bool:
-        """Deterministic per-hop CRC-failure decision (reproducible)."""
-        if not self.error_rate:
-            return False
-        self._error_counter += 1
-        return ((self._error_counter * 0x9E3779B1) >> 8) % 10_000 < int(
-            self.error_rate * 10_000
-        )
-
     def _next_hop_or_fail(self, node: int, dst: int) -> int:
         try:
             return self.topology.next_hop(node, dst)
@@ -254,46 +191,40 @@ class PacketNetwork:
                 f"{self.name}: no live route {node}->{dst}"
             ) from exc
 
-    def _backoff_ps(self, attempt: int) -> int:
+    @staticmethod
+    def _backoff_ps(attempt: int) -> int:
         # cap the exponent before shifting: 2**(attempt-1) for a large
         # attempt count would allocate a huge int only for min() to throw
         # it away.  Any shift past the ceiling's bit length already
         # saturates, so the clamped result is equal for every attempt.
         shift = min(attempt - 1, MAX_BACKOFF_FACTOR.bit_length())
-        return min(self.retry_penalty_ps << shift, self.max_backoff_ps)
+        return min(RETRY_PENALTY_PS << shift, MAX_BACKOFF_PS)
 
     def _hop_with_retry(self, a: int, b: int, wire_bytes: int):
         """Deliver one hop ``a -> b`` under the bounded retry/backoff loop.
 
-        Covers both failure modes: a CRC-corrupted frame (link alive; the
-        retransmission is itself subject to the same error rate) and a
-        physically dead link (pure ACK silence, reported to the watchdog).
-        Raises :class:`LinkFailure` once ``max_retries`` is exhausted or
-        the link gets marked down under us.
+        A physically dead link returns no ACK: every attempt is an ACK
+        timeout, reported to the watchdog, then a backoff.  Raises
+        :class:`LinkFailure` once :data:`MAX_RETRIES` is exhausted or the
+        link gets marked down under us.
         """
         edge = self.topology.edge_key(a, b)
+        state = self._state[edge]
         attempt = 0
         while True:
-            state = self._state[edge]
             if state.marked_down:
                 raise LinkFailure(f"{self.name}: link {a}<->{b} is down")
             if state.up:
                 yield self.link(a, b).transfer(wire_bytes)
-                if not self._hop_failed():
-                    self.watchdog.report_success(edge)
-                    return
-                # CRC failure — the frame is retransmitted below, and the
-                # retransmission rolls the same per-hop error dice again
-            else:
-                # dead link: nothing comes back; the sender only learns
-                # from ACK silence, which the watchdog accumulates
-                self.stats.add("dl.ack_timeouts")
-                self.watchdog.report_timeout(edge)
+                self.watchdog.report_success(edge)
+                return
+            self.stats.add("dl.ack_timeouts")
+            self.watchdog.report_timeout(edge)
             attempt += 1
-            if attempt > self.max_retries:
+            if attempt > MAX_RETRIES:
                 raise LinkFailure(
                     f"{self.name}: link {a}<->{b} gave up after "
-                    f"{self.max_retries} retries"
+                    f"{MAX_RETRIES} retries"
                 )
             backoff = self._backoff_ps(attempt)
             self.stats.add("dl.retransmissions")
@@ -420,13 +351,13 @@ class PacketNetwork:
                 self.stats.add("dl.ack_timeouts")
                 self.watchdog.report_timeout(edge)
             attempt += 1
-            if attempt > self.max_retries:
+            if attempt > MAX_RETRIES:
                 self.stats.add("dl.send_failures")
                 trace.end(span, status="failed")
                 done.fail(
                     LinkFailure(
                         f"{self.name}: stream {src}->{dst} gave up after "
-                        f"{self.max_retries} retries"
+                        f"{MAX_RETRIES} retries"
                     )
                 )
                 return
@@ -471,18 +402,14 @@ class PacketNetwork:
             # serialisation to finish and the parent's data to be there
             edge = self.topology.edge_key(parent, child)
             state = self._state[edge]
-            clean = False
             if state.up and not state.marked_down:
                 transfer = self.link(parent, child).transfer(wire_bytes)
                 yield AllOf([arrival[parent], transfer])
-                clean = not self._hop_failed()
-            else:
-                yield arrival[parent]
-            if clean:
                 self.watchdog.report_success(edge)
             else:
-                # corrupted or dead first copy: drop to the per-hop
-                # retry/backoff loop (raises LinkFailure on exhaustion)
+                # dead link: drop to the per-hop retry/backoff loop
+                # (raises LinkFailure on exhaustion)
+                yield arrival[parent]
                 yield from self._hop_with_retry(parent, child, wire_bytes)
             yield self.hop_latency_ps
             self.stats.add("dl.hop_bytes", wire_bytes)

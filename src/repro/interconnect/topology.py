@@ -68,9 +68,9 @@ class Topology:
     """A routed topology over ``n`` group-local node positions.
 
     ``edges`` is the nominal (as-built) wiring.  Each edge also carries a
-    dynamic up/down state: :meth:`set_link_state` flips a link and
+    dynamic up/down state: :meth:`set_link_down` takes a link down and
     recomputes every routing table over the surviving edges, so routing
-    adapts to failures (and repairs) at simulation time.
+    adapts to failures at simulation time.
     """
 
     def __init__(self, name: str, n: int) -> None:
@@ -93,7 +93,7 @@ class Topology:
 
         This is the single invalidation point for every derived routing
         structure: next-hop tables, distance tables, and the memoized
-        path / broadcast-tree caches.  ``set_link_state`` funnels every
+        path / broadcast-tree caches.  ``set_link_down`` funnels every
         link-state change through here, so cached routes can never
         outlive the topology state they were computed from.
         """
@@ -132,20 +132,15 @@ class Topology:
         """Whether the edge ``a<->b`` is currently marked up."""
         return self.edge_key(a, b) not in self._down
 
-    def set_link_state(self, a: int, b: int, up: bool) -> bool:
-        """Mark the edge ``a<->b`` up or down; recompute routes on change.
+    def set_link_down(self, a: int, b: int) -> bool:
+        """Mark the edge ``a<->b`` down; recompute routes on change.
 
-        Returns True when the state actually changed.
+        Returns True when the link was up.
         """
         key = self.edge_key(a, b)
-        if up:
-            if key not in self._down:
-                return False
-            self._down.discard(key)
-        else:
-            if key in self._down:
-                return False
-            self._down.add(key)
+        if key in self._down:
+            return False
+        self._down.add(key)
         self.route_recomputes += 1
         self._rebuild_routes()
         return True

@@ -1,15 +1,11 @@
-"""Hot-path microbenchmark harness (``python -m repro.perf``).
+"""Machine-speed calibration (:func:`calibrate`).
 
-Measures the simulator's performance-critical inner loops — event-queue
-churn, route lookups, packet delivery, and one end-to-end tiny
-experiment — and writes ``BENCH_hotpath.json``.  Raw ops/sec are
-machine-dependent, so every report also carries a calibration score (a
-fixed pure-Python loop timed on the same machine) and *normalized*
-throughput; the cached-vs-legacy route-lookup speedup ratio is
-machine-independent and is what CI's perf-smoke job asserts against.
+Wall times from different machines, or from one machine under load, are
+not directly comparable.  :func:`calibrate` times a fixed pure-Python
+loop so an end-to-end measurement (``bench/run.py``) can report the
+machine speed it was taken at.
 """
 
-from repro.perf.benches import BENCHES, run_benches
 from repro.perf.calibrate import calibrate
 
-__all__ = ["BENCHES", "run_benches", "calibrate"]
+__all__ = ["calibrate"]

@@ -1,10 +1,10 @@
-"""Machine-speed calibration for the perf harness.
+"""Machine-speed calibration for end-to-end benchmarks.
 
 Benchmark numbers from different machines (or the same machine under
-load) are not directly comparable.  The harness therefore times a fixed
-pure-Python workload — dict/heap/arithmetic operations shaped like the
-simulator's own inner loops — and reports every benchmark's throughput
-both raw and divided by this calibration score.
+load) are not directly comparable.  :func:`calibrate` therefore times a
+fixed pure-Python workload — dict/heap/arithmetic operations shaped like
+the simulator's own inner loops — whose throughput a benchmark report
+records next to its wall times.
 """
 
 from __future__ import annotations

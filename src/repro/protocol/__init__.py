@@ -1,7 +1,6 @@
-"""DIMM-Link packet protocol (Fig. 3): packets, CRC, DLL, transactions."""
+"""DIMM-Link packet protocol (Fig. 3): packets and CRC."""
 
 from repro.protocol.crc import check, crc32
-from repro.protocol.datalink import DataLinkEndpoint, LossyChannel, make_link_pair
 from repro.protocol.packet import (
     BROADCAST_DST,
     FLIT_BYTES,
@@ -14,14 +13,10 @@ from repro.protocol.packet import (
     segment_payload,
     wire_bytes_for_transfer,
 )
-from repro.protocol.transaction import TAG_SPACE, TagAllocator, TransactionTable
 
 __all__ = [
     "check",
     "crc32",
-    "DataLinkEndpoint",
-    "LossyChannel",
-    "make_link_pair",
     "BROADCAST_DST",
     "FLIT_BYTES",
     "MAX_PAYLOAD",
@@ -32,7 +27,4 @@ __all__ = [
     "iter_packets",
     "segment_payload",
     "wire_bytes_for_transfer",
-    "TAG_SPACE",
-    "TagAllocator",
-    "TransactionTable",
 ]

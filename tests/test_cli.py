@@ -359,6 +359,18 @@ def test_broker_flag_configures_fabric_mode(tmp_path, monkeypatch):
     assert seen["cache_dir"] == broker_dir / "cache"
 
 
+def test_broker_flag_creates_the_broker_with_the_command_policy(tmp_path):
+    """An experiment that creates a broker writes its ``--retries`` and
+    ``--lease-ttl`` to ``broker.json``, exactly as ``work`` does."""
+    flags = ["--retries", "0", "--lease-ttl", "7"]
+    experiment_dir, work_dir = tmp_path / "experiment", tmp_path / "work"
+    assert main(["table1", "--broker", str(experiment_dir), *flags]) == 0
+    assert main(["work", "--broker", str(work_dir), *flags]) == 0
+    policy = json.loads((experiment_dir / "broker.json").read_text())
+    assert (policy["retries"], policy["lease_ttl_s"]) == (0, 7.0)
+    assert policy == json.loads((work_dir / "broker.json").read_text())
+
+
 # -- workload suite (dlrm / apsp) ----------------------------------------------------
 
 

@@ -607,6 +607,34 @@ def test_transient_renew_hiccup_does_not_lose_the_lease(tmp_path):
     assert worker.leases_lost == 0
 
 
+@pytest.mark.parametrize("outcome", ["complete", "fail"])
+def test_lease_release_never_counts_as_a_lost_lease(tmp_path, outcome):
+    """``complete`` and ``fail`` release the lease; the heartbeat stops
+    first, so no beat can find the lease gone and count it lost.  The
+    slow release holds that window open for several beats."""
+    broker = make_broker(tmp_path, lease_ttl_s=2.0)
+    broker.submit(grid(1))
+    real_release = broker.leases.release
+
+    def slow_release(key, worker):
+        released = real_release(key, worker)
+        time.sleep(0.2)
+        return released
+
+    def crash(spec):
+        raise RuntimeError("injected crash")
+
+    broker.leases.release = slow_release
+    worker = make_worker(broker, heartbeat_interval_s=0.03)
+    if outcome == "fail":
+        worker.execute = crash
+    worker.step()
+    assert (worker.completed, worker.failed) == (
+        (1, 0) if outcome == "complete" else (0, 1)
+    )
+    assert worker.leases_lost == 0
+
+
 def test_relinquish_returns_claim_to_queue_uncharged(tmp_path):
     """Graceful drain: a relinquished claim goes straight back to
     ``pending`` with its attempt uncharged and no backoff stamp, so the

@@ -5,18 +5,10 @@ import pytest
 
 from repro.config import SystemConfig
 from repro.errors import FaultError
-from repro.faults import (
-    BridgeFault,
-    DimmFault,
-    FaultSchedule,
-    LinkDegrade,
-    LinkDown,
-    LinkOutage,
-    LinkWatchdog,
-)
+from repro.faults import FaultSchedule, LinkDown, LinkWatchdog
 from repro.nmp.system import NMPSystem
 from repro.sim.time import ns
-from repro.workloads.microbench import BulkTransfer, UniformRandom
+from repro.workloads.microbench import UniformRandom
 
 
 def _run(mechanism="dimm_link", faults=None, ops=20, seed=11):
@@ -57,14 +49,6 @@ def test_watchdog_success_resets_consecutive_count():
     assert not watchdog.is_dead((0, 1))
 
 
-def test_watchdog_reset_revives_link():
-    watchdog = LinkWatchdog(threshold=1)
-    watchdog.report_timeout((2, 3))
-    assert watchdog.is_dead((2, 3))
-    watchdog.reset((2, 3))
-    assert not watchdog.is_dead((2, 3))
-
-
 def test_watchdog_rejects_nonpositive_threshold():
     with pytest.raises(ValueError):
         LinkWatchdog(threshold=0)
@@ -91,26 +75,6 @@ def test_schedule_rejects_negative_time_and_self_links():
         FaultSchedule([LinkDown(time_ps=0, dimm_a=2, dimm_b=2)])
 
 
-def test_outage_needs_positive_duration():
-    with pytest.raises(FaultError):
-        FaultSchedule([LinkOutage(time_ps=0, dimm_a=0, dimm_b=1, duration_ps=0)])
-
-
-def test_degrade_fraction_must_be_in_unit_interval():
-    for fraction in (0.0, -0.5, 1.5):
-        with pytest.raises(FaultError):
-            FaultSchedule(
-                [LinkDegrade(time_ps=0, dimm_a=0, dimm_b=1, fraction=fraction)]
-            )
-
-
-def test_merged_schedules_combine_and_resort():
-    early = FaultSchedule([LinkDown(time_ps=ns(100), dimm_a=0, dimm_b=1)])
-    late = FaultSchedule([LinkDown(time_ps=ns(50), dimm_a=1, dimm_b=2)])
-    merged = early.merged(late)
-    assert [f.time_ps for f in merged] == [ns(50), ns(100)]
-
-
 def test_cross_group_link_rejected_at_install():
     # 8D-4C groups are [0..3] and [4..7]: no bridge link crosses 3<->4
     faults = FaultSchedule([LinkDown(time_ps=0, dimm_a=3, dimm_b=4)])
@@ -121,12 +85,6 @@ def test_cross_group_link_rejected_at_install():
 def test_non_adjacent_link_rejected_at_install():
     # half_ring wires 0-1-2-3; DIMMs 0 and 2 share no link
     faults = FaultSchedule([LinkDown(time_ps=0, dimm_a=0, dimm_b=2)])
-    with pytest.raises(FaultError):
-        NMPSystem(SystemConfig.named("8D-4C"), idc="dimm_link", faults=faults)
-
-
-def test_unknown_group_rejected_at_install():
-    faults = FaultSchedule([BridgeFault(time_ps=0, group=5)])
     with pytest.raises(FaultError):
         NMPSystem(SystemConfig.named("8D-4C"), idc="dimm_link", faults=faults)
 
@@ -155,52 +113,13 @@ def test_mid_run_link_failure_completes_via_host_forwarding():
     assert result.time_ps > clean.time_ps  # detection + failover cost time
 
 
-def test_link_outage_is_restored():
-    faults = FaultSchedule(
-        [LinkOutage(time_ps=ns(300), dimm_a=0, dimm_b=1, duration_ps=ns(1500))]
-    )
-    result = _run(faults=faults)
-    assert result.counter("fault.links_down") == 1
-    assert result.counter("fault.links_restored") == 1
-    assert result.counter("dl.link_availability_min") < 1.0
-
-
-def test_link_degrade_slows_bulk_transfer():
-    def bulk(faults):
-        config = SystemConfig.named("8D-4C")
-        system = NMPSystem(config, idc="dimm_link", faults=faults)
-        workload = BulkTransfer(total_bytes=1 << 16, chunk_bytes=4096)
-        return system.run(workload.thread_factories(1, 8))
-
-    degraded = bulk(
-        FaultSchedule([LinkDegrade(time_ps=0, dimm_a=0, dimm_b=1, fraction=0.25)])
-    )
-    clean = bulk(None)
-    assert degraded.counter("fault.links_degraded") == 1
-    assert degraded.time_ps > clean.time_ps
-
-
-def test_dimm_fault_kills_every_adjacent_link():
-    # DIMM 1 sits mid-chain (0-1-2-3): both its links die
-    faults = FaultSchedule([DimmFault(time_ps=ns(300), dimm=1)])
-    result = _run(faults=faults)
-    assert result.counter("fault.dimms_failed") == 1
-    assert result.counter("fault.links_down") == 2
-    assert result.counter("dl.rerouted_to_host") > 0
-
-
-def test_bridge_fault_kills_the_whole_group():
-    faults = FaultSchedule([BridgeFault(time_ps=ns(300), group=0)])
-    result = _run(faults=faults)
-    assert result.counter("fault.bridges_failed") == 1
-    assert result.counter("fault.links_down") == 3  # half_ring over 4 DIMMs
-    assert result.counter("dl.rerouted_to_host") > 0
-
-
 def test_total_bridge_loss_still_completes():
     # every link of both groups dies: all intra traffic must fail over
     faults = FaultSchedule(
-        [BridgeFault(time_ps=ns(300), group=0), BridgeFault(time_ps=ns(300), group=1)]
+        [
+            LinkDown(time_ps=ns(300), dimm_a=a, dimm_b=a + 1)
+            for a in (0, 1, 2, 4, 5, 6)
+        ]
     )
     result = _run(faults=faults)
     assert result.counter("fault.links_down") == 6
@@ -208,12 +127,19 @@ def test_total_bridge_loss_still_completes():
     assert result.time_ps > 0
 
 
-def test_degraded_runs_stay_deterministic():
-    faults = FaultSchedule([DimmFault(time_ps=ns(300), dimm=1)])
-    first = _run(faults=faults)
-    second = _run(
-        faults=FaultSchedule([DimmFault(time_ps=ns(300), dimm=1)])
+def _both_links_of_dimm1():
+    # DIMM 1 sits mid-chain (0-1-2-3): both its links die
+    return FaultSchedule(
+        [
+            LinkDown(time_ps=ns(300), dimm_a=0, dimm_b=1),
+            LinkDown(time_ps=ns(300), dimm_a=1, dimm_b=2),
+        ]
     )
+
+
+def test_degraded_runs_stay_deterministic():
+    first = _run(faults=_both_links_of_dimm1())
+    second = _run(faults=_both_links_of_dimm1())
     assert first.time_ps == second.time_ps
     assert first.counter("dl.rerouted_to_host") == second.counter(
         "dl.rerouted_to_host"

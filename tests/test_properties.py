@@ -18,7 +18,6 @@ from repro.protocol.packet import (
     segment_payload,
     wire_bytes_for_transfer,
 )
-from repro.protocol.transaction import TagAllocator
 from repro.sim.time import ns, transfer_ps
 
 
@@ -57,20 +56,6 @@ def test_wire_bytes_bounded_overhead(nbytes):
     assert wire >= nbytes
     # overhead is at most one header flit per 8 payload bytes + packet tails
     assert wire <= 3 * nbytes + 64
-
-
-@given(st.lists(st.booleans(), min_size=1, max_size=300))
-def test_tag_allocator_never_double_allocates(ops):
-    allocator = TagAllocator(size=16)
-    live = set()
-    for acquire in ops:
-        if acquire and allocator.available:
-            tag = allocator.allocate()
-            assert tag not in live
-            live.add(tag)
-        elif not acquire and live:
-            allocator.release(live.pop())
-    assert allocator.available == 16 - len(live)
 
 
 # -- addresses ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Tests for the DL protocol stack (packet codec, CRC, DLL, transactions)."""
+"""Tests for the DL protocol stack (packet codec and CRC)."""
 
 import zlib
 
@@ -9,16 +9,11 @@ from repro.protocol import (
     MAX_PAYLOAD,
     Command,
     Packet,
-    TagAllocator,
-    TransactionTable,
     crc32,
     iter_packets,
-    make_link_pair,
     segment_payload,
     wire_bytes_for_transfer,
 )
-from repro.sim import Simulator
-from repro.sim.time import ns
 
 
 # -- CRC ------------------------------------------------------------------
@@ -110,73 +105,3 @@ def test_iter_packets_offsets():
     chunks = list(iter_packets(0, 1, Command.WRITE_REQ, 600))
     assert [offset for offset, _ in chunks] == [0, 256, 512]
     assert [p.payload_bytes for _, p in chunks] == [256, 256, 88]
-
-
-# -- tags and transactions ----------------------------------------------------
-
-def test_tag_allocator_exhaustion_and_reuse():
-    tags = TagAllocator(size=2)
-    a, b = tags.allocate(), tags.allocate()
-    assert {a, b} == {0, 1}
-    with pytest.raises(ProtocolError):
-        tags.allocate()
-    tags.release(a)
-    assert tags.allocate() == a
-
-
-def test_tag_double_release_rejected():
-    tags = TagAllocator(size=4)
-    tag = tags.allocate()
-    tags.release(tag)
-    with pytest.raises(ProtocolError):
-        tags.release(tag)
-
-
-def test_transaction_match_by_peer_and_tag():
-    sim = Simulator()
-    table = TransactionTable(sim)
-    tag, event = table.open(peer=5)
-    table.complete(peer=5, tag=tag, value="data")
-    sim.run()
-    assert event.value == "data"
-    assert table.outstanding == 0
-
-
-def test_transaction_unknown_response_rejected():
-    sim = Simulator()
-    table = TransactionTable(sim)
-    with pytest.raises(ProtocolError):
-        table.complete(peer=1, tag=9)
-
-
-# -- data link layer -----------------------------------------------------------
-
-def test_dll_delivers_over_clean_link():
-    sim = Simulator()
-    side_a, side_b = make_link_pair(sim, latency_ps=ns(10))
-    packet = Packet(src=0, dst=1, cmd=Command.WRITE_REQ, payload=b"x" * 32)
-    side_a.send(packet)
-    sim.run()
-    assert len(side_b.received) == 1
-    assert side_b.received[0].payload == b"x" * 32
-    assert side_a.retransmissions == 0
-
-
-def test_dll_recovers_from_bit_errors():
-    sim = Simulator()
-    side_a, side_b = make_link_pair(sim, latency_ps=ns(10), error_rate=0.3, seed=7)
-    for i in range(20):
-        side_a.send(Packet(src=0, dst=1, cmd=Command.WRITE_REQ, payload=bytes([i]) * 8))
-    sim.run()
-    payloads = sorted(p.payload[0] for p in side_b.received)
-    assert payloads == list(range(20))  # all delivered exactly once
-    assert side_a.retransmissions > 0   # and errors actually happened
-
-
-def test_dll_credit_backpressure_limits_inflight():
-    sim = Simulator()
-    side_a, _side_b = make_link_pair(sim, latency_ps=ns(50), credits=2)
-    for i in range(8):
-        side_a.send(Packet(src=0, dst=1, cmd=Command.WRITE_REQ, payload=bytes([i])))
-    sim.run()
-    assert side_a.credits.peak_in_use <= 2

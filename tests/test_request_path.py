@@ -351,7 +351,9 @@ def _tiny(config, workload, **fields):
 
 
 #: label -> (tiny spec, sha256 of its result JSON, simulated events),
-#: recorded with the generator servers and the per-rank bulk stream.
+#: recorded with the generator servers and the per-rank bulk stream; the
+#: two link-failure pins after them were recorded under the full fault
+#: model (CRC errors, link repair, five fault kinds).
 PINNED = {
     "fig12-bulk-broadcast": (
         _tiny("12D-4C", "pagerank_bc", mechanism="dimm_link"),
@@ -396,6 +398,18 @@ PINNED = {
         "c47528157ffd57d946c5473ab41b74201d28c630edd343769ed9b92cc83cafbc",
         13558,
     ),
+    # every bridge link dies: the watchdog marks all six down
+    "resilience-all-links-down": (
+        _tiny("8D-4C", "uniform_random", mechanism="dimm_link", fault_fraction=1.0),
+        "55a10401ca8664d7aa87225db37d47f69c712006f26d5a2cecfdd77d320de287",
+        14272,
+    ),
+    # floods cut by a dead link fail over to host forwarding
+    "flood-failover": (
+        _tiny("8D-4C", "pagerank_bc", mechanism="dimm_link", fault_fraction=0.34),
+        "e7a9119fb524b58df6c5530492e40c08fb82eb325e45170da5f4c2af403da60e",
+        8698,
+    ),
 }
 
 #: a counter the spec must move, so its pin covers the path it is named for.
@@ -405,6 +419,8 @@ COVERS = {
     "next-touch-migrations": "placement.migrations",
     "next-touch-cpu": "placement.migrations",
     "resilience-faulted": "fault.links_down",
+    "resilience-all-links-down": "dl.links_marked_down",
+    "flood-failover": "dl.rerouted_to_host",
 }
 
 

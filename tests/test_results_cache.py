@@ -123,6 +123,11 @@ def test_spec_rejects_nonsense():
         RunSpec(config="4D-2C", workload="bfs", placement="best")
     with pytest.raises(ConfigError):
         RunSpec(config="4D-2C", workload="bfs", fault_fraction=1.5)
+    # only kind="nmp" installs a fault schedule: the other kinds would
+    # replay the fault-free run under a different cache key
+    for kind in ("cpu", "optimized"):
+        with pytest.raises(ConfigError):
+            RunSpec(config="4D-2C", workload="bfs", kind=kind, fault_fraction=0.5)
 
 
 # -- bypass --------------------------------------------------------------------------

@@ -3,9 +3,8 @@
 The topology memoizes paths, broadcast trees, and distance tables; every
 link-state change must invalidate all of them.  These tests compare the
 cached answers against a *cold* topology — a freshly constructed one
-with the same links down, which cannot have stale state — through full
-down/up cycles, including watchdog-driven mid-run rerouting and
-restoration after an outage window.
+with the same links down, which cannot have stale state — through a
+series of link failures, including watchdog-driven mid-run rerouting.
 """
 
 import pytest
@@ -20,7 +19,7 @@ def cold_topology(name, n, down_edges):
     """A fresh topology with ``down_edges`` down: no cache can be stale."""
     topo = Topology(name, n)
     for a, b in down_edges:
-        topo.set_link_state(a, b, False)
+        topo.set_link_down(a, b)
     return topo
 
 
@@ -41,26 +40,15 @@ def assert_matches_cold(topo, down_edges):
 
 
 @pytest.mark.parametrize("name,n", [("mesh", 16), ("ring", 8), ("half_ring", 6)])
-def test_cached_routes_match_cold_through_downs_and_ups(name, n):
+def test_cached_routes_match_cold_through_downs(name, n):
     topo = Topology(name, n)
     # warm every cache
     assert_matches_cold(topo, [])
-    transitions = [
-        (topo.edges[0], False),
-        (topo.edges[len(topo.edges) // 2], False),
-        (topo.edges[0], True),
-        (topo.edges[-1], False),
-        (topo.edges[len(topo.edges) // 2], True),
-        (topo.edges[-1], True),
-    ]
     down = set()
-    for (a, b), up in transitions:
-        topo.set_link_state(a, b, up)
-        down.discard((a, b)) if up else down.add((a, b))
+    for a, b in (topo.edges[0], topo.edges[len(topo.edges) // 2], topo.edges[-1]):
+        topo.set_link_down(a, b)
+        down.add((a, b))
         assert_matches_cold(topo, sorted(down))
-    # fully restored: identical to a brand-new topology again
-    assert down == set()
-    assert_matches_cold(topo, [])
 
 
 def test_returned_path_and_tree_are_private_copies():
@@ -80,14 +68,12 @@ def test_returned_path_and_tree_are_private_copies():
 def test_hops_uses_distance_table_and_errors_on_partition():
     topo = Topology("half_ring", 4)  # chain 0-1-2-3
     assert topo.hops(0, 3) == 3
-    topo.set_link_state(1, 2, False)
+    topo.set_link_down(1, 2)
     assert topo.hops(0, 1) == 1
     from repro.errors import RoutingError
 
     with pytest.raises(RoutingError):
         topo.hops(0, 3)
-    topo.set_link_state(1, 2, True)
-    assert topo.hops(0, 3) == 3
 
 
 def _network(sim, topo):
@@ -99,9 +85,6 @@ def _network(sim, topo):
         wire_latency_ps=5_000,
         stats=StatRegistry(),
         name="t",
-        watchdog_threshold=2,
-        retry_penalty_ps=1_000,
-        max_retries=4,
     )
 
 
@@ -134,37 +117,6 @@ def test_watchdog_link_down_mid_run_reroutes_like_cold():
     assert_matches_cold(topo, [(1, 2)])
     # traffic now takes the long way around, matching the cold route
     assert topo.path(1, 2) == [1, 0, 5, 4, 3, 2]
-
-
-def test_outage_restoration_mid_run_restores_cold_routes():
-    """Down-then-restore (LinkOutage shape): after restoration every
-    cached route must match a brand-new topology again."""
-    sim = Simulator()
-    topo = Topology("ring", 6)
-    net = _network(sim, topo)
-    pristine = [topo.path(a, b) for a in range(6) for b in range(6) if a != b]
-
-    def driver():
-        net.fail_link(2, 3)
-        for _ in range(3):  # accumulate watchdog timeouts -> mark down
-            try:
-                yield net.send(2, 3, 128)
-            except LinkFailure:
-                pass
-        assert not topo.link_up(2, 3)
-        assert_matches_cold(topo, [(2, 3)])
-        yield 50_000  # outage window passes
-        net.restore_link(2, 3)
-        assert topo.link_up(2, 3)
-        # restored: bit-identical to the never-failed route set
-        current = [topo.path(a, b) for a in range(6) for b in range(6) if a != b]
-        assert current == pristine
-        yield net.send(2, 3, 128)  # and the direct link carries traffic again
-
-    sim.process(driver(), name="driver")
-    sim.run()
-    assert topo.route_recomputes == 2
-    assert_matches_cold(topo, [])
 
 
 def test_stream_reroutes_after_watchdog_flip():

@@ -143,25 +143,23 @@ def test_ring_wrap_edge_is_canonical():
 def test_set_link_state_recomputes_routes():
     topo = Topology("ring", 4)
     assert topo.hops(0, 3) == 1
-    assert topo.set_link_state(0, 3, False) is True
+    assert topo.set_link_down(3, 0) is True  # endpoint order-insensitive
     assert topo.hops(0, 3) == 3  # rerouted the long way around
-    assert topo.set_link_state(0, 3, False) is False  # no change, no recompute
+    assert topo.set_link_down(0, 3) is False  # no change, no recompute
     assert topo.route_recomputes == 1
-    assert topo.set_link_state(3, 0, True) is True  # endpoint order-insensitive
-    assert topo.hops(0, 3) == 1
 
 
 def test_link_state_on_nonexistent_edge_rejected():
     topo = Topology("half_ring", 4)
     with pytest.raises(RoutingError):
-        topo.set_link_state(0, 2, False)
+        topo.set_link_down(0, 2)
     with pytest.raises(RoutingError):
         topo.link_up(0, 2)
 
 
 def test_partition_reachability_component_and_broadcast():
     topo = Topology("half_ring", 4)
-    topo.set_link_state(1, 2, False)
+    topo.set_link_down(1, 2)
     assert not topo.reachable(0, 3)
     assert topo.reachable(0, 1)
     assert topo.component(0) == {0, 1}
@@ -174,11 +172,9 @@ def test_partition_reachability_component_and_broadcast():
     assert [child for _parent, child in partial] == [1]
 
 
-def test_live_edges_shrink_and_recover():
+def test_live_edges_shrink():
     topo = Topology("ring", 4)
     assert len(topo.live_edges) == 4
-    topo.set_link_state(1, 2, False)
+    topo.set_link_down(1, 2)
     assert len(topo.live_edges) == 3
     assert not topo.link_up(1, 2)
-    topo.set_link_state(1, 2, True)
-    assert len(topo.live_edges) == 4
