@@ -8,12 +8,13 @@ Every figure/table module builds on these helpers:
 * :func:`run_nmp` / :func:`run_cpu` — execute a workload on a configured
   system,
 * :func:`run_optimized` — the DL-opt flow: profile traffic, solve the
-  distance-aware placement, run, and charge the profiling overhead.
+  distance-aware placement (:func:`optimized_placement`), run, and
+  charge the profiling overhead (:func:`charge_profiling`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from repro.config import SystemConfig
 from repro.errors import ConfigError
@@ -216,6 +217,23 @@ def run_nmp(
     return system.run(factories, workload_name=workload.name)
 
 
+def optimized_placement(
+    config: SystemConfig, workload: Workload, num_threads: int
+) -> List[int]:
+    """DIMM-Link-opt's thread placement: profile traffic, solve Algorithm 1."""
+    factories = workload.thread_factories(num_threads, config.num_dimms)
+    traffic = profile_traffic(factories, config.num_dimms)
+    return distance_aware_placement(traffic, config)
+
+
+def charge_profiling(
+    result: RunResult, profile_fraction: float = DEFAULT_PROFILE_FRACTION
+) -> RunResult:
+    """Charge DIMM-Link-opt's profiling phase to ``result`` (in place)."""
+    result.profile_ps = int(result.time_ps * profile_fraction)
+    return result
+
+
 def run_optimized(
     config: SystemConfig,
     workload: Workload,
@@ -226,14 +244,11 @@ def run_optimized(
 ) -> RunResult:
     """DIMM-Link-opt: profile, solve Algorithm 1, run, charge profiling."""
     threads = num_threads or threads_for(config)
-    factories_for_profile = workload.thread_factories(threads, config.num_dimms)
-    traffic = profile_traffic(factories_for_profile, config.num_dimms)
-    placement = distance_aware_placement(traffic, config)
+    placement = optimized_placement(config, workload, threads)
     system = NMPSystem(config, idc="dimm_link", polling=polling, sync_mode=sync_mode)
     factories = workload.thread_factories(threads, config.num_dimms)
     result = system.run(factories, placement=placement, workload_name=workload.name)
-    result.profile_ps = int(result.time_ps * profile_fraction)
-    return result
+    return charge_profiling(result, profile_fraction)
 
 
 def mechanism_results(

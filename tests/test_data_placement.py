@@ -9,7 +9,12 @@ from repro.config import SystemConfig
 from repro.errors import ConfigError
 from repro.experiments import mapping_ablation
 from repro.experiments.common import build_workload, threads_for
-from repro.experiments.runner import RunSpec, SweepRunner, execute_spec
+from repro.experiments.runner import (
+    RunSpec,
+    SweepRunner,
+    clear_run_memo,
+    execute_spec,
+)
 from repro.mapping.pagetable import PageTable, make_policy
 from repro.nmp.system import NMPSystem
 
@@ -93,6 +98,7 @@ def test_static_pagetable_is_byte_identical_to_legacy_run():
 
 def test_static_spec_matches_spec_without_placement_field():
     implicit = execute_spec(RunSpec(config="4D-2C", workload="hotpage", size="tiny"))
+    clear_run_memo()  # the explicit spec must simulate, not replay
     explicit = execute_spec(
         RunSpec(config="4D-2C", workload="hotpage", size="tiny", data_placement="static")
     )
@@ -157,6 +163,7 @@ def test_jobs2_equals_jobs1_on_mixed_placement_grid():
         [r.to_json_dict() for r in results], sort_keys=True
     )
     serial = SweepRunner(jobs=1).run(grid)
+    clear_run_memo()  # forked workers must simulate, not replay the parent
     parallel = SweepRunner(jobs=2).run(grid)
     assert serialize(parallel) == serialize(serial)
 

@@ -12,7 +12,7 @@ import json
 
 import pytest
 
-from repro.experiments.runner import RunSpec, execute_spec
+from repro.experiments.runner import RunSpec, clear_run_memo, execute_spec
 
 #: one cheap tiny-size spec per mechanism, plus the CPU baseline and the
 #: special corners the cache also covers (DL-opt flow, fault injection).
@@ -35,10 +35,12 @@ SPECS = {
 
 
 @pytest.mark.parametrize("label", sorted(SPECS))
-def test_rerunning_a_spec_is_bit_deterministic(label):
+def test_rerunning_a_spec_is_bit_deterministic(label, simulations):
     spec = SPECS[label]
     first = execute_spec(spec)
+    clear_run_memo()  # the second run must simulate, not replay the first
     second = execute_spec(spec)
+    assert len(simulations) == 2
 
     assert first.time_ps == second.time_ps
     assert first.thread_end_ps == second.thread_end_ps
@@ -49,10 +51,12 @@ def test_rerunning_a_spec_is_bit_deterministic(label):
 
 
 @pytest.mark.parametrize("label", ("cpu", "dimm_link"))
-def test_serialized_reruns_are_byte_identical(label):
+def test_serialized_reruns_are_byte_identical(label, simulations):
     spec = SPECS[label]
     first = json.dumps(execute_spec(spec).to_json_dict(), sort_keys=True)
+    clear_run_memo()
     second = json.dumps(execute_spec(spec).to_json_dict(), sort_keys=True)
+    assert len(simulations) == 2
     assert first == second
 
 

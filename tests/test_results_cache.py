@@ -128,6 +128,13 @@ def test_spec_rejects_nonsense():
     for kind in ("cpu", "optimized"):
         with pytest.raises(ConfigError):
             RunSpec(config="4D-2C", workload="bfs", kind=kind, fault_fraction=0.5)
+    # kind="optimized" always runs DIMM-Link, and only kind="nmp" places
+    # threads by policy: the other values would alias another spec's run
+    with pytest.raises(ConfigError):
+        RunSpec(config="4D-2C", workload="bfs", kind="optimized", mechanism="mcn")
+    for kind in ("cpu", "optimized"):
+        with pytest.raises(ConfigError):
+            RunSpec(config="4D-2C", workload="bfs", kind=kind, placement="random")
 
 
 # -- bypass --------------------------------------------------------------------------

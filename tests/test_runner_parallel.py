@@ -5,7 +5,7 @@ the serial path, whatever the worker count."""
 import json
 
 from repro.experiments import fig16_bandwidth
-from repro.experiments.runner import RunSpec, SweepRunner
+from repro.experiments.runner import RunSpec, SweepRunner, clear_run_memo
 from repro.results_cache import ResultsCache
 
 #: a small fig16-style grid: CPU reference + a bandwidth sweep.
@@ -23,6 +23,7 @@ def serialize(results):
 
 def test_jobs2_output_is_byte_identical_and_ordered_like_jobs1():
     serial = SweepRunner(jobs=1).run(GRID)
+    clear_run_memo()  # forked workers must simulate, not replay the parent
     parallel = SweepRunner(jobs=2).run(GRID)
     assert serialize(parallel) == serialize(serial)
     # same order: each result lines up with its spec
@@ -47,9 +48,11 @@ def test_mixed_hit_miss_batches_keep_order(tmp_path):
     cache = ResultsCache(tmp_path)
     SweepRunner(jobs=1, cache=cache).run(GRID[:2])  # warm a prefix only
 
+    clear_run_memo()
     runner = SweepRunner(jobs=2, cache=ResultsCache(tmp_path))
     results = runner.run(GRID)
     assert runner.stats == {"cache.hits": 2, "cache.misses": len(GRID) - 2}
+    clear_run_memo()
     assert serialize(results) == serialize(SweepRunner(jobs=1).run(GRID))
 
 
@@ -61,6 +64,7 @@ def test_experiment_rows_equal_under_parallelism():
         workload_names=("pagerank",),
         runner=SweepRunner(jobs=1),
     )
+    clear_run_memo()
     parallel_rows = fig16_bandwidth.run(
         size="tiny",
         bandwidths=(4.0, 64.0),

@@ -15,7 +15,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.experiments.runner import RunSpec, execute_spec
+from repro.experiments.runner import RunSpec, clear_run_memo, execute_spec
 from repro.workloads.graph import (
     GRAPH_MEMO_SIZE,
     StreamedRMAT,
@@ -152,12 +152,15 @@ def _digests(labels):
     return digests
 
 
-def test_results_equal_their_pins_with_the_memo_cold_and_warm(cold_memo):
+def test_results_equal_their_pins_with_the_memo_cold_and_warm(cold_memo, simulations):
     memos = (shared_rmat, shared_streamed_rmat, _stream_crossings)
     want = {label: digest for label, (_spec, digest) in PINNED.items()}
     assert _digests(PINNED) == want
+    assert len(simulations) == len(PINNED)
     cold = [memo.cache_info() for memo in memos]
+    clear_run_memo()  # the warm pass must simulate, not replay the cold one
     assert _digests(reversed(list(PINNED))) == want
+    assert len(simulations) == 2 * len(PINNED)
     # the warm pass took every graph and crossing matrix from the memo
     warm = [memo.cache_info() for memo in memos]
     assert [info.misses for info in warm] == [info.misses for info in cold]

@@ -27,6 +27,7 @@ from repro.errors import ConfigError
 from repro.experiments.runner import (
     RunSpec,
     SweepRunner,
+    clear_run_memo,
     execute_spec,
     parse_params,
 )
@@ -138,6 +139,7 @@ def test_trace_streams_identical_under_both_loops(experiment):
 def test_mixed_workload_grid_is_parallelism_invariant():
     grid = [DLRM_SPECS[0], APSP_SPECS[2], DLRM_SPECS[2], APSP_SPECS[0]]
     serial = SweepRunner(jobs=1).run(grid)
+    clear_run_memo()  # forked workers must simulate, not replay the parent
     parallel = SweepRunner(jobs=2).run(grid)
     assert serialize(parallel) == serialize(serial)
     assert [r.workload for r in parallel] == [s.workload for s in grid]
