@@ -1,6 +1,5 @@
 """Result analysis: geomeans, speedups, table rendering."""
 
 from repro.analysis.report import format_table, geomean, speedups
-from repro.analysis.sweep import Sweep
 
-__all__ = ["format_table", "geomean", "speedups", "Sweep"]
+__all__ = ["format_table", "geomean", "speedups"]

@@ -17,11 +17,6 @@ mid-write — including between opening the temp file and the rename —
 leaves the previous store intact, never a truncated one.  A corrupt or
 unreadable store is treated as empty, mirroring the results cache's
 crash-safety posture.
-
-The store is also the distributed fabric's **farm-wide quarantine**: the
-:class:`~repro.fabric.broker.WorkBroker` records specs that exhaust
-their attempt budget here, next to the shared results cache, so every
-worker and submitter sees the same known-bad set.
 """
 
 from __future__ import annotations
@@ -70,13 +65,12 @@ class DeadLetterStore:
     def refresh(self) -> None:
         """Re-read the store from disk (pick up other processes' writes).
 
-        Mutations refresh implicitly so concurrent workers quarantining
-        *different* specs merge instead of clobbering each other; callers
-        that only read (e.g. a broker deduplicating a submission) call
-        this once up front.  Two workers quarantining the *same* spec at
-        the same instant can still lose one write — harmless, as the
-        journal's ``dead`` state is the authoritative record and a lost
-        store entry only costs one redundant retry on a later rerun.
+        Mutations refresh implicitly so processes sharing a cache
+        directory that quarantine *different* specs merge instead of
+        clobbering each other.  Two processes quarantining the *same*
+        spec at the same instant can still lose one write — harmless, as
+        a lost store entry only costs one redundant retry on a later
+        rerun.
         """
         self._records = self._load()
 

@@ -582,9 +582,7 @@ class DeadLetter:
 class SweepRunner:
     """Executes RunSpec batches with memoisation, process fan-out, and
     supervision: incremental checkpointing, retry/quarantine, per-spec
-    timeouts, and pool respawn with serial degradation.  With ``broker``
-    set, batches drain through the distributed fabric
-    (:mod:`repro.fabric`) instead of a local pool."""
+    timeouts, and pool respawn with serial degradation."""
 
     def __init__(
         self,
@@ -598,7 +596,6 @@ class SweepRunner:
         max_pool_respawns: int = MAX_POOL_RESPAWNS,
         dead_letter_store: Optional[Union[DeadLetterStore, str]] = None,
         retry_dead_letter: bool = False,
-        broker: Optional[object] = None,
     ) -> None:
         if jobs < 1:
             raise ConfigError(f"jobs must be >= 1, got {jobs}")
@@ -608,26 +605,6 @@ class SweepRunner:
             raise ConfigError(f"spec_timeout must be positive, got {spec_timeout}")
         self.jobs = jobs
         self.cache = ResultsCache(cache) if isinstance(cache, str) else cache
-        #: distributed mode: a :class:`~repro.fabric.broker.WorkBroker`
-        #: (or its directory).  Cache misses are submitted to the broker
-        #: and drained cooperatively — this process becomes one fabric
-        #: worker among however many are pointed at the same directory.
-        if isinstance(broker, str):
-            from repro.fabric.broker import WorkBroker
-
-            broker = WorkBroker(broker)
-        self.broker = broker
-        if self.broker is not None:
-            if not use_cache:
-                raise ConfigError(
-                    "broker mode requires the results cache: idempotent "
-                    "publishing is what makes at-least-once execution "
-                    "yield exactly-once results"
-                )
-            if self.cache is None:
-                self.cache = self.broker.cache  # type: ignore[attr-defined]
-            if dead_letter_store is None:
-                dead_letter_store = self.broker.dead_letters  # type: ignore[attr-defined]
         self.use_cache = use_cache and self.cache is not None
         self.execute = execute
         #: extra attempts granted to a failing spec before quarantine.
@@ -787,94 +764,9 @@ class SweepRunner:
         """Run every spec (at-most-once success each), return quarantines."""
         if not specs:
             return []
-        if self.broker is not None:
-            return self._run_fabric(specs, keys, checkpoint)
         if self.jobs == 1 or len(specs) <= 1:
             return self._run_serial(list(range(len(specs))), specs, keys, checkpoint)
         return self._run_pool(specs, keys, checkpoint)
-
-    def _run_fabric(
-        self,
-        specs: List[RunSpec],
-        keys: List[str],
-        checkpoint: Callable[[int, RunResult], None],
-    ) -> List[DeadLetter]:
-        """Drain the batch through the work broker (distributed mode).
-
-        The misses are submitted to the broker's durable queue —
-        deduplicated there against finished cache entries and work other
-        submitters/workers already have in flight — and this process
-        joins the farm as one more pull-based worker.  Any number of
-        ``dimmlink-repro work`` processes (or other broker-mode runs)
-        pointed at the same directory drain the queue cooperatively;
-        results are collected from the shared cache as their journal
-        records reach ``done``, so it doesn't matter *who* executed a
-        spec.  Specs the broker quarantines come back as dead letters,
-        exactly like local-mode failures.
-        """
-        from repro.fabric.worker import Worker
-
-        broker = self.broker
-        broker.submit(specs, retry_dead=self.retry_dead_letter)
-        worker = Worker(
-            broker,
-            execute=self.execute,
-            spec_timeout=self.spec_timeout,
-        )
-        failures: List[DeadLetter] = []
-        unresolved: Dict[str, int] = {key: pos for pos, key in enumerate(keys)}
-        while unresolved:
-            records = broker.records()
-            resolved_any = False
-            for key in list(unresolved):
-                record = records.get(key)
-                pos = unresolved[key]
-                if record is None:
-                    known = broker.dead_letters.known(key)
-                    if known is not None:
-                        # quarantined by a pre-fabric run: surface it
-                        failures.append(
-                            self._dead_letter(
-                                specs[pos],
-                                key,
-                                int(known.get("attempts", 0)),
-                                str(known.get("error", "unknown failure")),
-                                str(known.get("diagnosis", "")),
-                            )
-                        )
-                        del unresolved[key]
-                        resolved_any = True
-                    else:  # lost enqueue somehow: resubmit just this spec
-                        broker.submit([specs[pos]])
-                    continue
-                if record.state == "done":
-                    result = self.cache.get(key)
-                    if result is None:
-                        # journal says done but the cache entry is gone
-                        # (e.g. quarantined as corrupt): re-run the spec
-                        broker.resubmit(key)
-                        continue
-                    checkpoint(pos, result)
-                    del unresolved[key]
-                    resolved_any = True
-                elif record.state == "dead":
-                    failures.append(
-                        self._dead_letter(
-                            specs[pos],
-                            key,
-                            record.attempts,
-                            record.error,
-                            record.diagnosis,
-                        )
-                    )
-                    del unresolved[key]
-                    resolved_any = True
-            if not unresolved:
-                break
-            if worker.step() or resolved_any:
-                continue  # progressed: look again immediately
-            time.sleep(worker.poll_interval_s)  # others hold the leases
-        return failures
 
     def _dead_letter(
         self, spec: RunSpec, key: str, attempts: int, error: str, diagnosis: str = ""
@@ -1135,21 +1027,16 @@ def configure(
     spec_timeout: Optional[float] = None,
     strict: bool = True,
     retry_dead_letter: bool = False,
-    broker: Optional[object] = None,
 ) -> SweepRunner:
     """Install (and return) the default runner experiments will use.
 
     The dead-letter store lives next to the results cache: configuring a
     cache directory makes quarantines persistent (reruns skip them), with
-    ``retry_dead_letter`` forcing a fresh attempt.  With ``broker`` (a
-    built :class:`~repro.fabric.broker.WorkBroker`), grid misses drain
-    through the distributed fabric (:mod:`repro.fabric`) instead of a
-    local process pool, and the runner takes the broker's shared cache
-    and quarantine; ``cache_dir`` is then unused.
+    ``retry_dead_letter`` forcing a fresh attempt.
     """
     global _default_runner
     cache = None
-    if broker is None and cache_dir and use_cache:
+    if cache_dir and use_cache:
         cache = ResultsCache(cache_dir)
     store = DeadLetterStore(cache.cache_dir) if cache is not None else None
     _default_runner = SweepRunner(
@@ -1161,7 +1048,6 @@ def configure(
         strict=strict,
         dead_letter_store=store,
         retry_dead_letter=retry_dead_letter,
-        broker=broker,
     )
     return _default_runner
 

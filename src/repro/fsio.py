@@ -1,34 +1,21 @@
-"""Crash-safe filesystem primitives shared by every durable store.
+"""Crash-safe file replacement shared by every durable store.
 
-The results cache, the dead-letter store, and the distributed fabric
-(:mod:`repro.fabric`) all persist state that must survive a process
-dying at *any* instruction — SIGKILL, OOM, power loss.  They share the
-same two disciplines, implemented once here:
-
-* **Atomic replace** (:func:`atomic_write_text`) — content is written to
-  a temp file in the destination directory, flushed and fsync'd, then
-  :func:`os.replace`'d over the target, and the directory entry is
-  fsync'd.  A reader never observes a partial file: it sees either the
-  old content or the new content, and a crash mid-write leaves the old
-  file untouched.
-* **Durable append** (:func:`append_line`) — one line is appended,
-  flushed, and fsync'd.  A crash mid-append can leave at most one
-  *partial trailing line*, which journal readers detect (it fails to
-  parse) and ignore; the previous state is intact because earlier lines
-  were already on disk.
-
-``durable=False`` skips the fsyncs for tests and throwaway runs where
-speed matters more than power-loss safety; the atomicity (replace /
-append ordering) is kept either way.
+The results cache and the dead-letter store persist state that must
+survive a process dying at *any* instruction — SIGKILL, OOM, power
+loss.  Both write through :func:`atomic_write_text`: content is written
+to a temp file in the destination directory, flushed and fsync'd, then
+:func:`os.replace`'d over the target, and the directory entry is
+fsync'd.  A reader never observes a partial file: it sees either the old
+content or the new content, and a crash mid-write leaves the old file
+untouched.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Iterator, Union
+from typing import Union
 
 
 def fsync_dir(directory: Union[str, Path]) -> None:
@@ -45,9 +32,7 @@ def fsync_dir(directory: Union[str, Path]) -> None:
         os.close(fd)
 
 
-def atomic_write_text(
-    path: Union[str, Path], text: str, durable: bool = True
-) -> Path:
+def atomic_write_text(path: Union[str, Path], text: str) -> Path:
     """Atomically replace ``path`` with ``text`` (temp + fsync + rename)."""
     path = Path(path)
     fd, tmp_name = tempfile.mkstemp(
@@ -57,11 +42,9 @@ def atomic_write_text(
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
             handle.flush()
-            if durable:
-                os.fsync(handle.fileno())
+            os.fsync(handle.fileno())
         os.replace(tmp_name, path)
-        if durable:
-            fsync_dir(path.parent)
+        fsync_dir(path.parent)
     except BaseException:
         try:
             os.unlink(tmp_name)
@@ -69,67 +52,3 @@ def atomic_write_text(
             pass
         raise
     return path
-
-
-def create_exclusive_text(
-    path: Union[str, Path], text: str, durable: bool = True
-) -> bool:
-    """Create ``path`` with ``text`` iff it does not exist (atomic).
-
-    Returns ``False`` when the file already exists — the one-winner
-    primitive behind lease claims and journal enqueue on a shared
-    filesystem.  The content write is *not* atomic (a reader can observe
-    a partial file between create and fsync); callers must tolerate an
-    unparsable just-created file, e.g. via an mtime-based fallback.
-    """
-    path = Path(path)
-    try:
-        fd = os.open(str(path), os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        return False
-    with os.fdopen(fd, "w", encoding="utf-8") as handle:
-        handle.write(text)
-        handle.flush()
-        if durable:
-            os.fsync(handle.fileno())
-    if durable:
-        fsync_dir(path.parent)
-    return True
-
-
-def append_line(path: Union[str, Path], line: str, durable: bool = True) -> None:
-    """Durably append one ``\\n``-terminated line to ``path``."""
-    if "\n" in line:
-        raise ValueError("journal lines must not contain newlines")
-    with open(path, "a", encoding="utf-8") as handle:
-        handle.write(line + "\n")
-        handle.flush()
-        if durable:
-            os.fsync(handle.fileno())
-
-
-def read_json_lines(path: Union[str, Path]) -> Iterator[dict]:
-    """Parse a JSONL file, skipping unparsable (torn/partial) lines.
-
-    A crash mid-append leaves a partial trailing line; replaying a
-    journal must treat it as if the append never happened.  Non-dict
-    payloads are skipped too — every record this library writes is an
-    object.
-
-    Undecodable bytes (a tail torn *inside* a UTF-8 multibyte sequence,
-    or foreign binary garbage) decode with replacement characters; the
-    mangled line then fails the JSON parse and is skipped like any
-    other torn line, instead of detonating the whole replay with a
-    ``UnicodeDecodeError``.
-    """
-    try:
-        with open(path, "r", encoding="utf-8", errors="replace") as handle:
-            for raw in handle:
-                try:
-                    record = json.loads(raw)
-                except ValueError:
-                    continue  # torn write: the transition never committed
-                if isinstance(record, dict):
-                    yield record
-    except OSError:
-        return

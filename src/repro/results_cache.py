@@ -19,10 +19,9 @@ Soundness rests on three properties, each enforced by tests:
   ``<cache_dir>/corrupt/`` so the bad bytes are kept for post-mortem but
   never re-parsed on every lookup.
 
-The atomic same-content overwrite is also what makes ``put`` idempotent,
-which the distributed fabric (:mod:`repro.fabric`) leans on: two workers
-publishing the same key race to identical content, so at-least-once
-execution still yields exactly-once results.
+The atomic same-content overwrite also makes ``put`` idempotent: two
+processes sharing a cache directory that publish the same key race to
+identical content, so neither can leave a torn or mixed entry.
 
 Layout: one ``<key>.json`` file per entry under the cache directory,
 where ``<key>`` is the spec's SHA-256 content hash.  Each file carries

@@ -17,8 +17,7 @@ implements failover across processes.  A process whose generator raises
 an :class:`Exception` fails its ``done`` event when someone is waiting on
 it, and propagates the exception out of :meth:`Simulator.run` otherwise
 (failures are never silent).  Any other ``BaseException`` —
-``KeyboardInterrupt``, ``SystemExit``, a signal-driven drain request —
-always aborts the run.  :meth:`Process.interrupt` cancels a pending wait
+``KeyboardInterrupt``, ``SystemExit`` — always aborts the run.  :meth:`Process.interrupt` cancels a pending wait
 by throwing an exception into the process at the current time.
 
 The kernel is single-threaded and deterministic: events scheduled at the

@@ -190,6 +190,9 @@ def rmat_stream(
             src, dst = np.concatenate((src, dst)), np.concatenate((dst, src))
         if len(src):
             yield src, dst
+        # release this batch before drawing the next, so that one batch,
+        # not two, is alive at a time: the bound ``batch_edges`` sets
+        del src, dst
 
 
 class StreamedRMAT:
@@ -229,6 +232,7 @@ class StreamedRMAT:
         degrees = np.zeros(self.num_vertices, dtype=np.int64)
         for src, _dst in rmat_stream(*self._stream_args()):
             degrees += np.bincount(src, minlength=self.num_vertices)
+            del src, _dst  # free the batch before the stream draws the next
         self.degrees = degrees
         self.num_edges = int(degrees.sum())
         self.indptr = np.concatenate(([0], np.cumsum(degrees))).astype(np.int64)
@@ -276,6 +280,7 @@ def _stream_crossings(
         src_part = np.clip(np.searchsorted(cuts, src, side="right") - 1, 0, parts - 1)
         dst_part = np.clip(np.searchsorted(cuts, dst, side="right") - 1, 0, parts - 1)
         np.add.at(matrix, (src_part, dst_part), 1)
+        del src, dst, src_part, dst_part  # free the batch before the next draw
     matrix.flags.writeable = False
     return matrix
 

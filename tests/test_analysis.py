@@ -51,33 +51,3 @@ def test_format_table_precision():
     text = format_table(["v"], [(3.14159,)], precision=1)
     assert "3.1" in text and "3.14" not in text
 
-
-# -- sweep runner ----------------------------------------------------------------
-
-def test_sweep_runs_and_tags_rows():
-    from repro.analysis import Sweep
-
-    sweep = Sweep("n", [1, 2, 3], lambda n: {"square": n * n})
-    rows = sweep.run()
-    assert [r["n"] for r in rows] == [1, 2, 3]
-    assert sweep.column("square") == [1, 4, 9]
-
-
-def test_sweep_best_and_table():
-    from repro.analysis import Sweep
-
-    sweep = Sweep("x", [2, 5, 3], lambda x: {"score": -abs(x - 3)})
-    sweep.run()
-    assert sweep.best("score") == 3
-    assert sweep.best("score", maximize=False) == 5
-    text = sweep.table(["score"])
-    assert "score" in text and "x" in text
-
-
-def test_sweep_column_before_run_rejected():
-    import pytest
-    from repro.analysis import Sweep
-
-    sweep = Sweep("x", [1], lambda x: {"y": x})
-    with pytest.raises(RuntimeError):
-        sweep.column("y")

@@ -246,131 +246,6 @@ def test_keyboard_interrupt_exit_130_keeps_checkpointed_results(
     assert cache.get(specs[2].cache_key()) is None  # the interrupted spec
 
 
-# -- fabric commands: submit / work --------------------------------------------------
-
-
-def _tiny_gridded(monkeypatch, count=3):
-    """Point the ``mapping`` submit entry at a tiny synthetic grid."""
-    import types
-
-    from repro.experiments import cli as cli_module
-    from tests.test_runner_supervision import grid
-
-    specs = grid(count)
-    monkeypatch.setitem(
-        cli_module._GRIDDED,
-        "mapping",
-        types.SimpleNamespace(specs=lambda size: specs),
-    )
-    return specs
-
-
-def test_fabric_commands_validate_their_arguments(tmp_path):
-    with pytest.raises(SystemExit):
-        main(["submit", "mapping"])  # no --broker
-    with pytest.raises(SystemExit):
-        main(["work"])  # no --broker
-    with pytest.raises(SystemExit):
-        main(["submit", "table2", "--broker", str(tmp_path)])  # not gridded
-    with pytest.raises(SystemExit):
-        main(["submit", "mapping", "--broker", str(tmp_path), "--no-cache"])
-    with pytest.raises(SystemExit):
-        main(["work", "--broker", str(tmp_path), "--lease-ttl", "0"])
-
-
-def test_submit_then_work_then_resubmit_round_trip(tmp_path, capsys, monkeypatch):
-    from tests.test_runner_supervision import fake_result
-
-    specs = _tiny_gridded(monkeypatch)
-    broker_dir = str(tmp_path / "farm")
-
-    args = ["submit", "mapping", "--broker", broker_dir, "--size", "tiny"]
-    assert main(args + ["--no-wait"]) == 0
-    out = capsys.readouterr().out
-    assert f"{len(specs)} spec(s): {len(specs)} enqueued" in out
-
-    # monkeypatched grids are synthetic, so drain with a synthetic worker
-    # (the real `work` command path is covered by examples/fabric_smoke.py)
-    from repro.fabric.broker import WorkBroker
-    from repro.fabric.worker import Worker
-
-    worker = Worker(WorkBroker(broker_dir), execute=fake_result)
-    assert worker.run() == len(specs)
-
-    # resubmitting a finished grid streams one progress line and exits 0
-    assert main(args) == 0
-    out = capsys.readouterr().out
-    assert f"{len(specs)} already done" in out
-    assert f"done={len(specs)}" in out
-    assert "grid complete" in out
-
-
-def test_work_command_drains_real_specs(tmp_path, capsys):
-    """`work` against a broker holding one real tiny spec executes it
-    through the standard ``execute_spec`` path and reports its tally."""
-    from repro.experiments.runner import RunSpec
-    from repro.fabric.broker import WorkBroker
-
-    broker_dir = str(tmp_path / "farm")
-    spec = RunSpec(config="4D-2C", workload="kmeans", size="tiny")
-    broker = WorkBroker(broker_dir)
-    broker.submit([spec])
-
-    assert main(["work", "--broker", broker_dir]) == 0
-    out = capsys.readouterr().out
-    assert "completed=1" in out
-    assert broker.cache.get(spec.cache_key()) is not None
-
-
-def test_submit_no_wait_reports_dead_specs_with_exit_one(
-    tmp_path, capsys, monkeypatch
-):
-    from repro.fabric.broker import BrokerConfig, WorkBroker
-
-    specs = _tiny_gridded(monkeypatch)
-    broker_dir = tmp_path / "farm"
-    broker = WorkBroker(broker_dir, config=BrokerConfig(retries=0))
-    broker.submit(specs)
-    record = broker.claim("w1")
-    broker.fail(record.key, "w1", "RuntimeError: injected crash")
-
-    args = ["submit", "mapping", "--broker", str(broker_dir), "--size", "tiny"]
-    assert main(args + ["--no-wait"]) == 1
-    assert "1 dead" in capsys.readouterr().out
-
-
-def test_broker_flag_configures_fabric_mode(tmp_path, monkeypatch):
-    """An experiment run with ``--broker`` gets a fabric-mode runner
-    sharing the broker's cache directory."""
-    from repro.experiments import cli as cli_module
-    from repro.experiments import runner as sweep_runner
-
-    seen = {}
-
-    def probe(size):
-        runner = sweep_runner.get_runner()
-        seen["broker_root"] = runner.broker.root
-        seen["cache_dir"] = runner.cache.cache_dir
-
-    monkeypatch.setitem(cli_module._SIZED, "fig11", probe)
-    broker_dir = tmp_path / "farm"
-    assert main(["fig11", "--size", "tiny", "--broker", str(broker_dir)]) == 0
-    assert seen["broker_root"] == broker_dir
-    assert seen["cache_dir"] == broker_dir / "cache"
-
-
-def test_broker_flag_creates_the_broker_with_the_command_policy(tmp_path):
-    """An experiment that creates a broker writes its ``--retries`` and
-    ``--lease-ttl`` to ``broker.json``, exactly as ``work`` does."""
-    flags = ["--retries", "0", "--lease-ttl", "7"]
-    experiment_dir, work_dir = tmp_path / "experiment", tmp_path / "work"
-    assert main(["table1", "--broker", str(experiment_dir), *flags]) == 0
-    assert main(["work", "--broker", str(work_dir), *flags]) == 0
-    policy = json.loads((experiment_dir / "broker.json").read_text())
-    assert (policy["retries"], policy["lease_ttl_s"]) == (0, 7.0)
-    assert policy == json.loads((work_dir / "broker.json").read_text())
-
-
 # -- workload suite (dlrm / apsp) ----------------------------------------------------
 
 
@@ -400,142 +275,31 @@ def test_cli_runs_apsp_tiny(capsys):
 
 
 def test_workload_suite_experiments_are_traceable_and_submittable():
-    from repro.experiments.cli import submittable_names
-
     for name in ("dlrm", "apsp"):
         assert name in experiment_names()
         assert name in traceable_names()
-        assert name in submittable_names()
-
-
-def test_submit_apsp_grid_over_broker(tmp_path, capsys):
-    """The apsp grid round-trips through the file broker: submit
-    enqueues every spec (params included), a worker drains them, and a
-    resubmit reports the grid complete."""
-    from repro.fabric.broker import WorkBroker
-    from repro.fabric.worker import Worker
-    from tests.test_results_cache import fake_result
-
-    broker_dir = str(tmp_path / "farm")
-    args = ["submit", "apsp", "--broker", broker_dir, "--size", "tiny"]
-    assert main(args + ["--no-wait"]) == 0
-    out = capsys.readouterr().out
-    assert "enqueued" in out
-
-    worker = Worker(WorkBroker(broker_dir), execute=fake_result)
-    drained = worker.run()
-    assert drained > 0
-
-    assert main(args) == 0
-    out = capsys.readouterr().out
-    assert "grid complete" in out
-
-
-def test_work_sigterm_drains_gracefully_and_releases_claim(tmp_path):
-    """Satellite: SIGTERM on `work` exits 143 after handing any
-    in-flight claim straight back to the queue — no lease left behind,
-    nothing quarantined, the remaining specs immediately claimable."""
-    import os
-    import signal
-    import subprocess
-    import sys
-    import time
-    from pathlib import Path
-
-    from repro.experiments.runner import RunSpec
-    from repro.fabric.broker import WorkBroker
-
-    repo = Path(__file__).resolve().parent.parent
-    broker_dir = str(tmp_path / "farm")
-    specs = [
-        RunSpec(config="4D-2C", workload="pagerank", size="tiny", seed=seed)
-        for seed in range(80)
-    ]
-    broker = WorkBroker(broker_dir)
-    broker.submit(specs)
-
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(repo / "src")]
-        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-    )
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "repro.experiments.cli", "work",
-         "--broker", broker_dir],
-        cwd=repo, env=env,
-        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
-    )
-    try:
-        deadline = time.monotonic() + 60.0
-        while time.monotonic() < deadline:
-            counts = broker.counts()
-            if counts["done"] >= 1 or counts["leased"] >= 1:
-                break
-            time.sleep(0.01)
-        else:
-            raise AssertionError("worker never started draining")
-        proc.send_signal(signal.SIGTERM)
-        output = proc.communicate(timeout=60)[0]
-    finally:
-        if proc.poll() is None:
-            proc.kill()
-            proc.communicate()
-
-    assert proc.returncode == 143, output
-    assert "drained by signal 15" in output
-    # the graceful contract: zero held leases, zero quarantined specs,
-    # and any interrupted claim is pending again with its attempt
-    # uncharged — claimable right now, not after a TTL
-    assert broker.leases.live_count() == 0
-    counts = broker.counts()
-    assert counts["leased"] == 0 and counts["dead"] == 0
-    for record in broker.records().values():
-        assert record.state in ("pending", "done")
-        if record.state == "pending":
-            assert record.attempts == 0
-    if counts["pending"]:
-        assert broker.claim("successor") is not None  # no TTL wait
-
-
-def test_work_drains_by_signal_even_when_the_exception_is_swallowed(
-    tmp_path, capsys, monkeypatch
-):
-    """The exit status follows the signal, not the handler's exception:
-    a drain raised while the GC finalises a suspended generator is
-    dropped, and the worker then returns normally after its spec."""
-    import signal
-
-    from repro.fabric.worker import Worker
-
-    def swallowing_run(self, drain=True):
-        try:
-            signal.raise_signal(signal.SIGTERM)
-        except BaseException:
-            pass
-        return 0
-
-    monkeypatch.setattr(Worker, "run", swallowing_run)
-    assert main(["work", "--broker", str(tmp_path / "farm")]) == 143
-    assert "drained by signal 15" in capsys.readouterr().out
 
 
 def test_serve_and_grid_commands_validate_endpoints(tmp_path, capsys, monkeypatch):
-    """There is no socket service: `serve` is not a command, and a
-    tcp:// --broker is a usage error rather than a local directory that
-    no worker would ever drain."""
+    """There is no socket service and no work broker: `serve`, `submit`
+    and `work` are not commands, and the broker's flags are usage errors
+    rather than options a local run would silently ignore."""
     monkeypatch.chdir(tmp_path)
-    with pytest.raises(SystemExit) as exc:
-        main(["serve", "--broker", "farm"])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert "invalid choice" in err and "serve" in err
-    for argv in (
-        ["work"],
-        ["submit", "mapping", "--size", "tiny"],
-        ["mapping", "--size", "tiny"],
+    for command in ("serve", "submit", "work"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--broker", "farm"])
+        assert exc.value.code == 2, command
+        err = capsys.readouterr().err
+        assert "invalid choice" in err and command in err
+    for flags in (
+        ["--broker", "farm"],
+        ["--broker", "tcp://127.0.0.1:7741"],
+        ["--lease-ttl", "5"],
+        ["--no-wait"],
+        ["--forever"],
     ):
         with pytest.raises(SystemExit) as exc:
-            main(argv + ["--broker", "tcp://127.0.0.1:7741"])
-        assert exc.value.code == 2, argv
-        assert "directory that all workers share" in capsys.readouterr().err
+            main(["mapping", "--size", "tiny", *flags])
+        assert exc.value.code == 2, flags
+        assert "unrecognized arguments" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())  # no farm/ or tcp:/ directory

@@ -52,6 +52,34 @@ def test_stream_batches_are_bounded_and_loop_free():
         assert not np.any(src == dst)
 
 
+def test_streamed_passes_hold_one_batch_at_a_time(monkeypatch):
+    """Neither the stream nor its two consumers (the degree pass and the
+    crossing pass) keep a batch alive while the next one is drawn, so
+    peak memory is one batch's arrays, not two."""
+    import weakref
+
+    import repro.workloads.graph as graph_module
+
+    yielded = []
+    draw, stream = graph_module._rmat_quadrants, graph_module.rmat_stream
+
+    def checked_draw(*args):
+        assert all(ref() is None for ref in yielded), "previous batch alive"
+        return draw(*args)
+
+    def tracked_stream(*args):
+        for batch in stream(*args):
+            yielded.extend(weakref.ref(array) for array in batch)
+            yield batch
+            del batch
+
+    monkeypatch.setattr(graph_module, "_rmat_quadrants", checked_draw)
+    monkeypatch.setattr(graph_module, "rmat_stream", tracked_stream)
+    graph = StreamedRMAT(8, edge_factor=4, seed=5, batch_edges=100)
+    graph.cross_partition(np.array([0, 64, 128, 192, 256]))
+    assert len(yielded) > 8  # several batches went through both passes
+
+
 # -- scale caps ----------------------------------------------------------------------
 
 

@@ -9,6 +9,7 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.experiments.runner import RunSpec, SweepRunner
+from repro.fsio import atomic_write_text
 from repro.nmp.results import RunResult
 from repro.results_cache import CODE_VERSION, ResultsCache
 from repro.sim.stats import StatRegistry
@@ -207,6 +208,23 @@ def test_put_is_atomic_and_leaves_no_temp_files(tmp_path):
     payload = json.loads(path.read_text())
     assert payload["code_version"] == CODE_VERSION
     assert RunResult.from_json_dict(payload["result"]) == fake_result(SPEC)
+
+
+def test_atomic_write_crash_before_rename_preserves_old_content(tmp_path, monkeypatch):
+    target = tmp_path / "state.json"
+    atomic_write_text(target, "old")
+
+    import repro.fsio as fsio
+
+    def explode(src, dst):
+        raise OSError("crash injected between temp write and rename")
+
+    monkeypatch.setattr(fsio.os, "replace", explode)
+    with pytest.raises(OSError):
+        atomic_write_text(target, "new")
+    monkeypatch.undo()
+    assert target.read_text() == "old"
+    assert list(tmp_path.glob("*.tmp")) == []  # temp file cleaned up
 
 
 def test_clear_empties_the_cache(tmp_path):

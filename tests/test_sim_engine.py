@@ -479,7 +479,7 @@ def test_max_events_exact_budget_completes():
 
 
 class _Abort(BaseException):
-    """Stands in for KeyboardInterrupt / SystemExit / a drain request."""
+    """Stands in for KeyboardInterrupt / SystemExit."""
 
 
 def test_base_exception_escapes_an_already_delivered_anyof():
