@@ -126,32 +126,68 @@ class DisaggregatedMemory:
                 src_local, dst_local, 0, nbytes
             )
         done = self.sim.event(name="disagg.transfer")
-        self.sim.process(
-            self._inter_blade(src_blade, src_local, dst_blade, dst_local, nbytes, done),
-            name="disagg.xfer",
-        )
+        crossing = _Crossing(src_blade, src_local, dst_blade, dst_local, nbytes, done)
+        self.sim.schedule(0, self._inter_blade, crossing)
         return done
 
-    def _inter_blade(self, src_blade, src_local, dst_blade, dst_local, nbytes, done):
-        tech = self.fabric_tech
-        wire = wire_bytes_for_transfer(nbytes)
-        src = self.blades[src_blade]
-        dst = self.blades[dst_blade]
-        # DL to the source blade's fabric-port DIMM (its group master)
-        port_out = src.config.master_dimm(src.config.group_of(src_local))
-        if port_out != src_local:
-            yield src.idc.bridge.stream(src_local, port_out, wire)
-        yield ns(tech.endpoint_overhead_ns)
-        yield self._ports[src_blade][0].transfer(wire)
-        yield self._ports[dst_blade][1].transfer(wire)
-        yield ns(tech.endpoint_overhead_ns)
-        # DL from the destination blade's port DIMM to the target
-        port_in = dst.config.master_dimm(dst.config.group_of(dst_local))
-        if port_in != dst_local:
-            yield dst.idc.bridge.stream(port_in, dst_local, wire)
-        yield dst.dimms[dst_local].mc.local_access(0, nbytes, True)
-        self.stats.add("disagg.inter_blade_bytes", nbytes)
-        done.succeed(nbytes)
+    # An inter-blade transfer is a callback chain over a :class:`_Crossing`:
+    # DL to the source blade's fabric-port DIMM (its group master), the
+    # endpoint overhead, the source port's tx and the destination port's
+    # rx, the overhead again, DL from the destination port DIMM, and the
+    # DRAM write.  A DL leg that fails raises out of the event loop.
+
+    def _inter_blade(self, crossing: "_Crossing") -> None:
+        crossing.wire = wire_bytes_for_transfer(crossing.nbytes)
+        src = self.blades[crossing.src_blade]
+        port_out = src.config.master_dimm(src.config.group_of(crossing.src_local))
+        if port_out != crossing.src_local:
+            crossing.wait = src.idc.bridge.stream(
+                crossing.src_local, port_out, crossing.wire
+            )
+            crossing.wait.then(self._left_blade, crossing)
+        else:
+            self._left_blade(crossing)
+
+    def _left_blade(self, crossing: "_Crossing") -> None:
+        if crossing.wait is not None and crossing.wait.failed:
+            raise crossing.wait.value
+        overhead = ns(self.fabric_tech.endpoint_overhead_ns)
+        self.sim.schedule(overhead, self._transmit, crossing)
+
+    def _transmit(self, crossing: "_Crossing") -> None:
+        tx = self._ports[crossing.src_blade][0]
+        tx.transfer(crossing.wire).then(self._receive, crossing)
+
+    def _receive(self, crossing: "_Crossing") -> None:
+        rx = self._ports[crossing.dst_blade][1]
+        rx.transfer(crossing.wire).then(self._received, crossing)
+
+    def _received(self, crossing: "_Crossing") -> None:
+        overhead = ns(self.fabric_tech.endpoint_overhead_ns)
+        self.sim.schedule(overhead, self._enter_blade, crossing)
+
+    def _enter_blade(self, crossing: "_Crossing") -> None:
+        dst = self.blades[crossing.dst_blade]
+        port_in = dst.config.master_dimm(dst.config.group_of(crossing.dst_local))
+        if port_in != crossing.dst_local:
+            crossing.wait = dst.idc.bridge.stream(
+                port_in, crossing.dst_local, crossing.wire
+            )
+            crossing.wait.then(self._store, crossing)
+        else:
+            crossing.wait = None
+            self._store(crossing)
+
+    def _store(self, crossing: "_Crossing") -> None:
+        if crossing.wait is not None and crossing.wait.failed:
+            raise crossing.wait.value
+        dst = self.blades[crossing.dst_blade]
+        mc = dst.dimms[crossing.dst_local].mc
+        mc.local_access(0, crossing.nbytes, True).then(self._stored, crossing)
+
+    def _stored(self, crossing: "_Crossing") -> None:
+        self.stats.add("disagg.inter_blade_bytes", crossing.nbytes)
+        crossing.done.succeed(crossing.nbytes)
 
     def measure_bandwidth(self, src_dimm: int, dst_dimm: int, nbytes: int) -> float:
         """Achieved GB/s for one transfer (drains the simulator)."""
@@ -165,3 +201,21 @@ class DisaggregatedMemory:
             raise RoutingError("transfer did not complete")
         elapsed = done[0] - start
         return nbytes * 1000 / elapsed
+
+
+class _Crossing:
+    """One inter-blade transfer in flight; ``wait`` is its current DL leg."""
+
+    __slots__ = (
+        "src_blade", "src_local", "dst_blade", "dst_local", "nbytes", "done",
+        "wire", "wait",
+    )
+
+    def __init__(self, src_blade, src_local, dst_blade, dst_local, nbytes, done):
+        self.src_blade = src_blade
+        self.src_local = src_local
+        self.dst_blade = dst_blade
+        self.dst_local = dst_local
+        self.nbytes = nbytes
+        self.done = done
+        self.wait = None

@@ -105,12 +105,13 @@ class SyncManager:
         home = self._thread_homes[thread_id]
         event = self.sim.event(name=f"barrier.g{generation}.t{thread_id}")
         state.waiters[home].append(event)
-        self.sim.process(
-            self._arrival(state, generation, home), name=f"sync.arrive.{thread_id}"
-        )
+        self.sim.schedule(0, self._arrival, (state, home))
         return event
 
-    # -- arrival paths ------------------------------------------------------------
+    # Arrivals and releases are callback chains, one callback per simulator
+    # slot, over a ``(state, dimm, ...)`` tuple: ``schedule`` for a
+    # fixed latency, ``SimEvent.then`` for a sync message or a master
+    # core's processing, and a plain call where a stage sends nothing.
 
     def _master_core(self, dimm: int) -> BandwidthResource:
         """The serializing master core of a DIMM (SynCron-style)."""
@@ -122,89 +123,137 @@ class SyncManager:
             self._master_cores[dimm] = core
         return core
 
-    def _arrival(self, state: _Generation, generation: int, home: int):
-        yield LOCAL_SYNC_PS  # report to the DIMM's master core
-        if self.mode == "central":
-            yield from self._central_arrival(state, generation, home)
-        else:
-            yield from self._hier_arrival(state, generation, home)
+    def _message(self, src: int, dst: int, step, arrival, expected: bool = False) -> None:
+        """Send one sync message; ``step(arrival)`` runs once it is delivered."""
+        self.idc.message(src, dst, SYNC_MSG_BYTES, expected=expected).then(step, arrival)
 
-    def _central_arrival(self, state: _Generation, generation: int, home: int):
-        if home != self.global_master:
-            self.stats.add("sync.messages")
-            yield self.idc.message(home, self.global_master, SYNC_MSG_BYTES)
+    def _occupy_master(self, dimm: int, step, arrival) -> None:
+        """Charge one message's processing on ``dimm``'s master core."""
+        self._master_core(dimm).occupy(MASTER_PROC_PS).then(step, arrival)
+
+    # -- arrival paths ------------------------------------------------------------
+
+    def _arrival(self, arrival) -> None:
+        # report to the DIMM's master core
+        self.sim.schedule(LOCAL_SYNC_PS, self._arrived, arrival)
+
+    def _arrived(self, arrival) -> None:
+        if self.mode == "central":
+            home = arrival[1]
+            if home != self.global_master:
+                self.stats.add("sync.messages")
+                self._message(home, self.global_master, self._central_reported, arrival)
+            else:
+                self._central_reported(arrival)
+        else:
+            self._hier_arrival(arrival)
+
+    def _central_reported(self, arrival) -> None:
         # the master core handles every arrival serially
-        yield self._master_core(self.global_master).occupy(MASTER_PROC_PS)
+        self._occupy_master(self.global_master, self._central_counted, arrival)
+
+    def _central_counted(self, arrival) -> None:
+        state = arrival[0]
         state.arrived_threads += 1
         if state.arrived_threads == self.total_threads:
-            self._release_central(state, generation)
+            self._release_central(state)
 
-    def _hier_arrival(self, state: _Generation, generation: int, home: int):
+    def _hier_arrival(self, arrival) -> None:
+        state, home = arrival
         state.dimm_arrivals[home] += 1
         if state.dimm_arrivals[home] != self._threads_per_dimm[home]:
             return
         # last thread of this DIMM: notify the group master
-        group = self.config.group_of(home)
-        group_master = self.config.master_dimm(group)
+        group_master = self.config.master_dimm(self.config.group_of(home))
         if home != group_master:
             self.stats.add("sync.messages")
-            yield self.idc.message(home, group_master, SYNC_MSG_BYTES)
-        yield self._master_core(group_master).occupy(MASTER_PROC_PS)
+            self._message(home, group_master, self._group_reported, arrival)
+        else:
+            self._group_reported(arrival)
+
+    def _group_reported(self, arrival) -> None:
+        group_master = self.config.master_dimm(self.config.group_of(arrival[1]))
+        self._occupy_master(group_master, self._group_counted, arrival)
+
+    def _group_counted(self, arrival) -> None:
+        state, home = arrival
+        group = self.config.group_of(home)
         state.group_arrivals[group] += 1
         if state.group_arrivals[group] != self._dimms_per_group[group]:
             return
         # last DIMM of the group: notify the global master
-        if group_master != self.global_master:
-            self.stats.add("sync.messages")
-            self.stats.add("sync.inter_group_messages")
-            yield self.idc.message(group_master, self.global_master, SYNC_MSG_BYTES)
-            yield self._master_core(self.global_master).occupy(MASTER_PROC_PS)
-        state.arrived_threads += 1  # counts completed groups in hier mode
-        if state.arrived_threads == len(self._dimms_per_group):
-            self._release_hier(state, generation)
-
-    # -- release paths --------------------------------------------------------------
-
-    def _release_central(self, state: _Generation, generation: int) -> None:
-        state.released = True
-        self.stats.add("sync.barriers")
-        for dimm in state.waiters:
-            self.sim.process(
-                self._release_dimm(state, dimm, via=self.global_master),
-                name=f"sync.release.g{generation}.d{dimm}",
-            )
-
-    def _release_hier(self, state: _Generation, generation: int) -> None:
-        state.released = True
-        self.stats.add("sync.barriers")
-        for group, _count in self._dimms_per_group.items():
-            self.sim.process(
-                self._release_group(state, group),
-                name=f"sync.release.g{generation}.grp{group}",
-            )
-
-    def _release_group(self, state: _Generation, group: int):
         group_master = self.config.master_dimm(group)
         if group_master != self.global_master:
             self.stats.add("sync.messages")
             self.stats.add("sync.inter_group_messages")
-            yield self._master_core(self.global_master).occupy(MASTER_PROC_PS)
-            # the host just forwarded the arrival, so it expects the release
-            yield self.idc.message(
-                self.global_master, group_master, SYNC_MSG_BYTES, expected=True
+            self._message(
+                group_master, self.global_master, self._global_reported, arrival
             )
+        else:
+            self._global_counted(arrival)
+
+    def _global_reported(self, arrival) -> None:
+        self._occupy_master(self.global_master, self._global_counted, arrival)
+
+    def _global_counted(self, arrival) -> None:
+        state = arrival[0]
+        state.arrived_threads += 1  # counts completed groups in hier mode
+        if state.arrived_threads == len(self._dimms_per_group):
+            self._release_hier(state)
+
+    # -- release paths --------------------------------------------------------------
+
+    def _release_central(self, state: _Generation) -> None:
+        state.released = True
+        self.stats.add("sync.barriers")
+        for dimm in state.waiters:
+            self.sim.schedule(0, self._release_dimm, (state, dimm, self.global_master))
+
+    def _release_hier(self, state: _Generation) -> None:
+        state.released = True
+        self.stats.add("sync.barriers")
+        for group, _count in self._dimms_per_group.items():
+            self.sim.schedule(0, self._release_group, (state, group))
+
+    def _release_group(self, release) -> None:
+        group_master = self.config.master_dimm(release[1])
+        if group_master != self.global_master:
+            self.stats.add("sync.messages")
+            self.stats.add("sync.inter_group_messages")
+            self._occupy_master(self.global_master, self._group_release_sent, release)
+        else:
+            self._group_released(release)
+
+    def _group_release_sent(self, release) -> None:
+        # the host just forwarded the arrival, so it expects the release
+        group_master = self.config.master_dimm(release[1])
+        self._message(
+            self.global_master, group_master, self._group_released, release, True
+        )
+
+    def _group_released(self, release) -> None:
+        state, group = release
+        group_master = self.config.master_dimm(group)
         for dimm in state.waiters:
             if self.config.group_of(dimm) == group:
-                self.sim.process(
-                    self._release_dimm(state, dimm, via=group_master),
-                    name=f"sync.release.d{dimm}",
-                )
+                self.sim.schedule(0, self._release_dimm, (state, dimm, group_master))
 
-    def _release_dimm(self, state: _Generation, dimm: int, via: int):
+    def _release_dimm(self, release) -> None:
+        _state, dimm, via = release
         if dimm != via:
             self.stats.add("sync.messages")
-            yield self._master_core(via).occupy(MASTER_PROC_PS)
-            yield self.idc.message(via, dimm, SYNC_MSG_BYTES, expected=True)
-        yield LOCAL_SYNC_PS  # master core releases local threads
-        for event in state.waiters[dimm]:
+            self._occupy_master(via, self._dimm_release_sent, release)
+        else:
+            self._dimm_released(release)
+
+    def _dimm_release_sent(self, release) -> None:
+        _state, dimm, via = release
+        self._message(via, dimm, self._dimm_released, release, True)
+
+    def _dimm_released(self, release) -> None:
+        # master core releases local threads
+        self.sim.schedule(LOCAL_SYNC_PS, self._wake, release)
+
+    def _wake(self, release) -> None:
+        for event in release[0].waiters[release[1]]:
             event.succeed(None)

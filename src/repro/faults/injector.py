@@ -9,14 +9,14 @@ the bridge — the injector knows *when*, the bridge knows *how*.
 Counters written under ``fault.``:
 
 * ``fault.injected`` — faults applied so far,
-* ``fault.links_down`` — links taken down.
+* ``fault.links_down`` — links taken down (a link named twice counts once).
 """
 
 from __future__ import annotations
 
 from typing import List
 
-from repro.errors import FaultError
+from repro.errors import FaultError, RoutingError
 from repro.faults.schedule import FaultSchedule, LinkDown
 
 
@@ -46,7 +46,7 @@ class FaultInjector:
         # edge_key() raises RoutingError for non-adjacent positions
         try:
             self.bridge.networks[group_a].topology.edge_key(pos_a, pos_b)
-        except Exception as exc:
+        except RoutingError as exc:
             raise FaultError(
                 f"{fault!r}: DIMMs {fault.dimm_a} and {fault.dimm_b} "
                 f"share no bridge link"
@@ -55,5 +55,6 @@ class FaultInjector:
     def _apply(self, fault: LinkDown) -> None:
         self.stats.add("fault.injected")
         self.applied.append(fault)
-        self.bridge.fail_link_between(fault.dimm_a, fault.dimm_b)
-        self.stats.add("fault.links_down")
+        # a link named twice (from either end) goes down once
+        if self.bridge.fail_link_between(fault.dimm_a, fault.dimm_b):
+            self.stats.add("fault.links_down")

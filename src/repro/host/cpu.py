@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Callable, Iterator, List, Optional, Tuple
 
 from repro.config import SystemConfig
+from repro.dram.address import PAGE_BYTES, page_offset
 from repro.dram.module import DRAMModule
 from repro.dram.timing import preset
 from repro.errors import DeadlockError, WorkloadError
@@ -107,33 +108,44 @@ class HostCore(ThreadExecutor):
         self, op, target: int, migration: Tuple[int, int], is_write: bool
     ) -> SimEvent:
         """Copy the page across channels (read old, write new), then access."""
-        from repro.dram.address import PAGE_BYTES, page_offset
-
-        src, dst = migration
         done = self.sim.event(name=f"{self.name}.migrated")
-
-        def proc():
-            begin = self.sim.now
-            trace = self.sim.trace
-            span = (
-                trace.begin(
-                    "placement", "migrate", self.name, page=op.page, src=src, dst=dst
-                )
-                if trace.enabled
-                else None
-            )
-            yield self.system.memory_request(src, page_offset(op.page), PAGE_BYTES, False)
-            yield self.system.memory_request(dst, page_offset(op.page), PAGE_BYTES, True)
-            self.stats.add("placement.migrations")
-            self.stats.add("placement.migrated_bytes", PAGE_BYTES)
-            self.stats.add("placement.migration_ps", self.sim.now - begin)
-            if span is not None:
-                trace.end(span)
-            yield self.system.memory_request(target, op.offset, op.nbytes, is_write)
-            done.succeed(op.nbytes)
-
-        self.sim.process(proc(), name=f"{self.name}.migrate")
+        self.sim.schedule(0, self._migrate, (op, target, migration, is_write, done))
         return done
+
+    # A migration is a callback chain over ``(op, target, (src, dst),
+    # is_write, done)``, extended by its start time and trace span.
+
+    def _migrate(self, move) -> None:
+        op, _target, (src, dst), _is_write, _done = move
+        trace = self.sim.trace
+        span = (
+            trace.begin("placement", "migrate", self.name, page=op.page, src=src, dst=dst)
+            if trace.enabled
+            else None
+        )
+        self.system.memory_request(src, page_offset(op.page), PAGE_BYTES, False).then(
+            self._page_read, move + (self.sim.now, span)
+        )
+
+    def _page_read(self, move) -> None:
+        dst = move[2][1]
+        self.system.memory_request(
+            dst, page_offset(move[0].page), PAGE_BYTES, True
+        ).then(self._migrated, move)
+
+    def _migrated(self, move) -> None:
+        op, target, _migration, is_write, _done, begin, span = move
+        self.stats.add("placement.migrations")
+        self.stats.add("placement.migrated_bytes", PAGE_BYTES)
+        self.stats.add("placement.migration_ps", self.sim.now - begin)
+        if span is not None:
+            self.sim.trace.end(span)
+        self.system.memory_request(target, op.offset, op.nbytes, is_write).then(
+            self._migrated_access_done, move
+        )
+
+    def _migrated_access_done(self, move) -> None:
+        move[4].succeed(move[0].nbytes)
 
     def broadcast(self, op: Broadcast) -> SimEvent:
         # shared memory: a broadcast is just the producer's single write
@@ -195,9 +207,7 @@ class HostCPUSystem:
     def _cross_channel(self, request) -> None:
         channel = self.channels[self.config.channel_of(request[0])]
         # bus transfers only ever succeed, so the next step needs no check
-        channel.transfer(request[2], kind="data").add_callback(
-            lambda _bus: self.sim.schedule(0, self._access_dram, request)
-        )
+        channel.transfer(request[2], kind="data").then(self._access_dram, request)
 
     def _access_dram(self, request) -> None:
         dimm, offset, nbytes, is_write, _done = request

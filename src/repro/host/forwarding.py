@@ -101,30 +101,22 @@ class ForwardController:
         if notice_dimm == -1:
             self._read_source(forward)
             return
-        self._then(
-            self.polling.notice(src_dimm if notice_dimm is None else notice_dimm),
-            self._read_source,
-            forward,
-        )
-
-    def _then(self, event: SimEvent, step, forward) -> None:
-        """Run ``step(forward)`` in the slot after ``event`` fires."""
-        event.add_callback(lambda _event: self.sim.schedule(0, step, forward))
+        self.polling.notice(
+            src_dimm if notice_dimm is None else notice_dimm
+        ).then(self._read_source, forward)
 
     def _read_source(self, forward) -> None:
         channel = self.channels[self.config.channel_of(forward[0])]
-        self._then(channel.transfer(forward[2], kind="fwd"), self._copy, forward)
+        channel.transfer(forward[2], kind="fwd").then(self._copy, forward)
 
     def _copy(self, forward) -> None:
-        self._then(
-            self.engine.transfer(forward[2], extra_ps=self._per_op_ps),
-            self._write_destination,
-            forward,
+        self.engine.transfer(forward[2], extra_ps=self._per_op_ps).then(
+            self._write_destination, forward
         )
 
     def _write_destination(self, forward) -> None:
         channel = self.channels[self.config.channel_of(forward[1])]
-        self._then(channel.transfer(forward[2], kind="fwd"), self._finish, forward)
+        channel.transfer(forward[2], kind="fwd").then(self._finish, forward)
 
     def _finish(self, forward) -> None:
         _src, _dst, wire_bytes, done, start, span = forward

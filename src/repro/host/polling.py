@@ -78,6 +78,29 @@ class _Base:
             )
         return event
 
+    # An interrupt-driven notice is a callback chain over ``[dimm, channel,
+    # register reads left, done]``: the interrupt latency, then the scan's
+    # register reads over the channel one by one.
+
+    def _interrupt(self, scan) -> None:
+        self.sim.schedule(self._interrupt_ps, self._scan, scan)
+
+    def _scan(self, scan) -> None:
+        if scan[2]:
+            scan[2] -= 1
+            scan[1].transfer(self.host.poll_read_bytes, kind="poll").then(
+                self._scanned, scan
+            )
+            return
+        self.stats.add("poll.notices")
+        if self.sim.trace.enabled:
+            self.sim.trace.instant("host", "poll.interrupt", "host.poll", dimm=scan[0])
+        scan[3].succeed(None)
+
+    def _scanned(self, scan) -> None:
+        self.stats.add("poll.scan_reads")
+        self._scan(scan)
+
 
 class BaselinePolling(_Base):
     """Continuous per-channel scan of all DIMM request registers.
@@ -129,22 +152,11 @@ class InterruptPolling(_Base):
     def notice(self, dimm_id: int) -> SimEvent:
         channel = self.channels[self.config.channel_of(dimm_id)]
         done = self.sim.event(name="poll.notice")
-
-        def proc():
-            yield self._interrupt_ps
-            # ALERT_N is shared: scan every DIMM on the channel to find
-            # the requester (Sec. IV-A).
-            for _ in channel.dimm_ids:
-                yield channel.transfer(self.host.poll_read_bytes, kind="poll")
-                self.stats.add("poll.scan_reads")
-            self.stats.add("poll.notices")
-            if self.sim.trace.enabled:
-                self.sim.trace.instant(
-                    "host", "poll.interrupt", "host.poll", dimm=dimm_id
-                )
-            done.succeed(None)
-
-        self.sim.process(proc(), name="poll.interrupt")
+        # ALERT_N is shared: scan every DIMM on the channel to find the
+        # requester (Sec. IV-A)
+        self.sim.schedule(
+            0, self._interrupt, [dimm_id, channel, len(channel.dimm_ids), done]
+        )
         return done
 
 
@@ -193,19 +205,7 @@ class ProxyInterruptPolling(ProxyPolling):
         proxy = self.proxy_of(dimm_id)
         channel = self.channels[self.config.channel_of(proxy)]
         done = self.sim.event(name="poll.notice")
-
-        def proc():
-            yield self._interrupt_ps
-            yield channel.transfer(self.host.poll_read_bytes, kind="poll")
-            self.stats.add("poll.scan_reads")
-            self.stats.add("poll.notices")
-            if self.sim.trace.enabled:
-                self.sim.trace.instant(
-                    "host", "poll.interrupt", "host.poll", dimm=dimm_id
-                )
-            done.succeed(None)
-
-        self.sim.process(proc(), name="poll.proxy_interrupt")
+        self.sim.schedule(0, self._interrupt, [dimm_id, channel, 1, done])
         return done
 
 

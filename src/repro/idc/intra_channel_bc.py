@@ -13,8 +13,7 @@ from __future__ import annotations
 
 from repro.idc.cpu_forwarding import CPUForwardingIDC
 from repro.protocol.packet import wire_bytes_for_transfer
-from repro.sim.engine import AllOf, SimEvent
-from repro.sim.time import ns
+from repro.sim.engine import Join, SimEvent
 
 
 class IntraChannelBroadcastIDC(CPUForwardingIDC):
@@ -23,53 +22,55 @@ class IntraChannelBroadcastIDC(CPUForwardingIDC):
     name = "abc"
 
     def broadcast(self, src_dimm, offset, nbytes) -> SimEvent:
-        system = self._require_system()
-        done = self.sim.event(name="abc.bc")
-        config = system.config
-        wire = wire_bytes_for_transfer(nbytes)
-        src_channel_id = config.channel_of(src_dimm)
-
-        def proc():
-            # the host issues the customized broadcast-read command
-            yield system.polling.notice(src_dimm)
-            src_channel = system.channels[src_channel_id]
-            # one broadcast-read: host AND the source channel's other DIMMs
-            # all receive the data simultaneously
-            yield src_channel.transfer(wire, kind="fwd")
-            yield ns(config.host.forward_latency_ns)
-
-            def same_channel_store(dst):
-                yield system.dimms[dst].mc.local_access(offset, nbytes, True)
-                self.stats.add("idc.channel_bc_bytes", nbytes)
-
-            def other_channel(channel_id):
-                # the host copies the payload once per destination channel
-                yield system.forwarder.engine.transfer(wire)
-                channel = system.channels[channel_id]
-                # one broadcast-write serves every DIMM of the channel
-                yield channel.transfer(wire, kind="fwd")
-                stores = [
-                    system.dimms[dst].mc.local_access(offset, nbytes, True)
-                    for dst in config.dimms_on_channel(channel_id)
-                ]
-                self.stats.add(
-                    "idc.forwarded_bytes", nbytes * len(config.dimms_on_channel(channel_id))
-                )
-                yield AllOf(stores)
-
-            branches = [
-                self.sim.process(same_channel_store(dst), name="abc.bc.local")
-                for dst in config.dimms_on_channel(src_channel_id)
-                if dst != src_dimm
-            ]
-            branches.extend(
-                self.sim.process(other_channel(ch), name="abc.bc.fwd")
-                for ch in range(config.num_channels)
-                if ch != src_channel_id
-            )
-            yield AllOf(branches)
-            self.stats.add("idc.broadcast_ops")
-            done.succeed(nbytes)
-
-        self.sim.process(proc(), name="abc.bc")
+        self._require_system()
+        done = SimEvent(self.sim, "abc.bc")
+        self.sim.schedule(0, self._broadcast, (src_dimm, -1, offset, nbytes, done))
         return done
+
+    # The host notices the request, issues the customized broadcast-read
+    # command, and waits its forwarding latency exactly as MCN-BC does;
+    # only the delivery differs.  One broadcast-read reaches the host AND
+    # the source channel's other DIMMs simultaneously.
+
+    def _broadcast_deliver(self, op) -> None:
+        config = self.system.config
+        src_channel_id = config.channel_of(op[0])
+        local = [d for d in config.dimms_on_channel(src_channel_id) if d != op[0]]
+        remote = [ch for ch in range(config.num_channels) if ch != src_channel_id]
+        join = Join(self.sim, len(local) + len(remote) + 1, self._broadcast_done, op)
+        for dst in local:
+            self.sim.schedule(0, self._store_on_channel, (op, dst, join))
+        for channel_id in remote:
+            self.sim.schedule(0, self._to_channel, (op, channel_id, join))
+        join.ok()
+
+    def _store_on_channel(self, branch) -> None:
+        op, dst, _join = branch
+        mc = self.system.dimms[dst].mc
+        mc.local_access(op[2], op[3], True).then(self._stored_on_channel, branch)
+
+    def _stored_on_channel(self, branch) -> None:
+        self.stats.add("idc.channel_bc_bytes", branch[0][3])
+        branch[2].ok()
+
+    def _to_channel(self, branch) -> None:
+        # the host copies the payload once per destination channel
+        wire = wire_bytes_for_transfer(branch[0][3])
+        self.system.forwarder.engine.transfer(wire).then(self._channel_write, branch)
+
+    def _channel_write(self, branch) -> None:
+        # one broadcast-write serves every DIMM of the channel
+        wire = wire_bytes_for_transfer(branch[0][3])
+        channel = self.system.channels[branch[1]]
+        channel.transfer(wire, kind="fwd").then(self._channel_store, branch)
+
+    def _channel_store(self, branch) -> None:
+        op, channel_id, join = branch
+        receivers = self.system.config.dimms_on_channel(channel_id)
+        dimms = self.system.dimms
+        stores = [dimms[d].mc.local_access(op[2], op[3], True) for d in receivers]
+        self.stats.add("idc.forwarded_bytes", op[3] * len(receivers))
+        stored = Join(self.sim, len(stores) + 1, join.ok)
+        for store in stores:
+            store.add_callback(stored.ok)
+        stored.ok()

@@ -15,10 +15,15 @@ is adaptive — each hop consults the topology's live routing tables, which
 the :class:`~repro.faults.watchdog.LinkWatchdog` updates when it declares
 a link dead after :data:`WATCHDOG_THRESHOLD` consecutive ACK timeouts.
 Per-hop delivery over a dead link runs a bounded retry loop with
-exponential backoff; exhaustion — or the loss of every route — raises
-:class:`~repro.errors.LinkFailure` through the transfer's completion
-event, which the DIMM-Link IDC layer catches and escalates to host
-CPU-forwarding.
+exponential backoff; exhaustion — or the loss of every route — fails
+the transfer's completion event with :class:`~repro.errors.LinkFailure`.
+The DIMM-Link IDC step after that wait reads the failure and escalates
+to host CPU-forwarding.
+
+A packet in flight is a record, not a process: the network advances it
+hop by hop with one callback per simulator slot (``SimEvent.then`` after
+a link transfer, ``Simulator.schedule`` for the router latency and the
+retry backoff), and its retry count lives on the record.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from typing import Dict, Iterable, Tuple
 from repro.errors import LinkFailure, RoutingError
 from repro.faults.watchdog import LinkWatchdog
 from repro.interconnect.topology import Topology
-from repro.sim.engine import AllOf, SimEvent, Simulator
+from repro.sim.engine import Join, SimEvent, Simulator
 from repro.sim.resource import BandwidthResource
 from repro.sim.stats import StatRegistry
 
@@ -92,17 +97,13 @@ class PacketNetwork:
                 )
         self.watchdog = LinkWatchdog(threshold=WATCHDOG_THRESHOLD, name=name)
         self.watchdog.on_dead = self._on_watchdog_dead
-        # event/process labels are fixed per network: build them once
+        # event labels are fixed per network: build them once
         # instead of formatting a fresh string on every packet
         self._n_send_self = f"{name}.send.self"
         self._n_send = f"{name}.send"
-        self._n_route = f"{name}.route"
         self._n_stream_self = f"{name}.stream.self"
         self._n_stream = f"{name}.stream"
-        self._n_stream_route = f"{name}.stream.route"
         self._n_broadcast = f"{name}.broadcast"
-        self._n_bc = f"{name}.bc"
-        self._n_bc_finish = f"{name}.bc.finish"
 
     @property
     def links(self) -> Dict[Edge, BandwidthResource]:
@@ -169,17 +170,18 @@ class PacketNetwork:
         """Route one packet ``src -> dst``; event fires on delivery.
 
         On an unrecoverable failure (retry exhaustion or no live route)
-        the event *fails* with :class:`LinkFailure` — callers waiting on
-        it catch the exception at their ``yield``.
+        the event *fails* with :class:`LinkFailure`; the caller's next
+        step reads :attr:`SimEvent.failed`.
         """
         if src == dst:
             event = self.sim.event(name=self._n_send_self)
             self.sim.schedule(0, event.succeed, wire_bytes)
             return event
-        done = self.sim.event(name=self._n_send)
-        self.sim.process(
-            self._route_proc(src, dst, wire_bytes, done), name=self._n_route
-        )
+        done = SimEvent(self.sim, self._n_send)
+        packet = _Packet(src, dst, wire_bytes, done)
+        packet.crossed = self._route_crossed
+        packet.lost = self._route_lost
+        self.sim.schedule(0, self._route_start, packet)
         return done
 
     def _next_hop_or_fail(self, node: int, dst: int) -> int:
@@ -200,85 +202,114 @@ class PacketNetwork:
         shift = min(attempt - 1, MAX_BACKOFF_FACTOR.bit_length())
         return min(RETRY_PENALTY_PS << shift, MAX_BACKOFF_PS)
 
-    def _hop_with_retry(self, a: int, b: int, wire_bytes: int):
-        """Deliver one hop ``a -> b`` under the bounded retry/backoff loop.
+    # A packet is a record the network advances hop by hop, one callback
+    # per simulator slot.  A hop is: the link transfer, under the bounded
+    # retry/backoff loop when the link is physically dead (each attempt an
+    # ACK timeout reported to the watchdog, then a backoff); the watchdog's
+    # success report; the per-hop router latency; then ``crossed`` — the
+    # next hop of a route, or the next tree level of a flood.  A hop that
+    # gives up (retries exhausted, or the link marked down under it) calls
+    # ``lost`` with the LinkFailure, in the same slot.
 
-        A physically dead link returns no ACK: every attempt is an ACK
-        timeout, reported to the watchdog, then a backoff.  Raises
-        :class:`LinkFailure` once :data:`MAX_RETRIES` is exhausted or the
-        link gets marked down under us.
-        """
-        edge = self.topology.edge_key(a, b)
-        state = self._state[edge]
-        attempt = 0
-        while True:
-            if state.marked_down:
-                raise LinkFailure(f"{self.name}: link {a}<->{b} is down")
-            if state.up:
-                yield self.link(a, b).transfer(wire_bytes)
-                self.watchdog.report_success(edge)
-                return
-            self.stats.add("dl.ack_timeouts")
-            self.watchdog.report_timeout(edge)
-            attempt += 1
-            if attempt > MAX_RETRIES:
-                raise LinkFailure(
-                    f"{self.name}: link {a}<->{b} gave up after "
-                    f"{MAX_RETRIES} retries"
-                )
-            backoff = self._backoff_ps(attempt)
-            self.stats.add("dl.retransmissions")
-            self.stats.add("dl.backoff_ps", backoff)
-            trace = self.sim.trace
-            if trace.enabled:
-                trace.instant(
-                    "network",
-                    "retry",
-                    f"{self.name}.link{a}-{b}",
-                    attempt=attempt,
-                    backoff_ps=backoff,
-                )
-            yield backoff
+    def _aim(self, packet: "_Packet", a: int, b: int) -> LinkState:
+        """Point ``packet`` at the hop ``a -> b``; returns the link's state."""
+        packet.node = a
+        packet.nxt = b
+        packet.edge = edge = self.topology.edge_key(a, b)
+        packet.state = state = self._state[edge]
+        packet.attempt = 0
+        return state
 
-    def _route_proc(self, src: int, dst: int, wire_bytes: int, done: SimEvent):
-        """Adaptive store-and-forward routing: re-resolve the next hop at
-        every step so mid-flight route recomputation takes effect."""
+    def _hop(self, packet: "_Packet") -> None:
+        state = packet.state
+        a, b = packet.node, packet.nxt
+        if state.marked_down:
+            packet.lost(packet, LinkFailure(f"{self.name}: link {a}<->{b} is down"))
+            return
+        if state.up:
+            self._links[(a, b)].transfer(packet.wire_bytes).then(self._hop_acked, packet)
+            return
+        self.stats.add("dl.ack_timeouts")
+        self.watchdog.report_timeout(packet.edge)
+        packet.attempt = attempt = packet.attempt + 1
+        if attempt > MAX_RETRIES:
+            packet.lost(
+                packet,
+                LinkFailure(
+                    f"{self.name}: link {a}<->{b} gave up after {MAX_RETRIES} retries"
+                ),
+            )
+            return
+        backoff = self._backoff_ps(attempt)
+        self.stats.add("dl.retransmissions")
+        self.stats.add("dl.backoff_ps", backoff)
         trace = self.sim.trace
-        span = (
-            trace.begin(
+        if trace.enabled:
+            trace.instant(
+                "network",
+                "retry",
+                f"{self.name}.link{a}-{b}",
+                attempt=attempt,
+                backoff_ps=backoff,
+            )
+        self.sim.schedule(backoff, self._hop, packet)
+
+    def _hop_acked(self, packet: "_Packet") -> None:
+        self.watchdog.report_success(packet.edge)
+        self.sim.schedule(self.hop_latency_ps, self._hop_crossed, packet)
+
+    def _hop_crossed(self, packet: "_Packet") -> None:
+        self.stats.add("dl.hop_bytes", packet.wire_bytes)
+        self.stats.add("dl.hops")
+        packet.crossed(packet)
+
+    # -- adaptive store-and-forward routing: the next hop is re-resolved at
+    # every node, so mid-flight route recomputation takes effect
+
+    def _route_start(self, packet: "_Packet") -> None:
+        trace = self.sim.trace
+        if trace.enabled:
+            packet.span = trace.begin(
                 "network",
                 "packet",
                 f"{self.name}.route",
-                src=src,
-                dst=dst,
-                bytes=wire_bytes,
+                src=packet.src,
+                dst=packet.dst,
+                bytes=packet.wire_bytes,
             )
-            if trace.enabled
-            else None
-        )
-        try:
-            node = src
-            steps = 0
-            while node != dst:
-                nxt = self._next_hop_or_fail(node, dst)
-                yield from self._hop_with_retry(node, nxt, wire_bytes)
-                yield self.hop_latency_ps
-                self.stats.add("dl.hop_bytes", wire_bytes)
-                self.stats.add("dl.hops")
-                node = nxt
-                steps += 1
-                if steps > 2 * self.topology.n:
-                    raise LinkFailure(
-                        f"{self.name}: routing loop {src}->{dst} under churn"
-                    )
-        except LinkFailure as exc:
-            self.stats.add("dl.send_failures")
-            trace.end(span, status="failed")
-            done.fail(exc)
+        self._route_from(packet, packet.src)
+
+    def _route_from(self, packet: "_Packet", node: int) -> None:
+        dst = packet.dst
+        if node == dst:
+            self.stats.add("dl.packets")
+            self.sim.trace.end(packet.span, status="delivered", hops=packet.steps)
+            packet.done.succeed(packet.wire_bytes)
             return
-        self.stats.add("dl.packets")
-        trace.end(span, status="delivered", hops=steps)
-        done.succeed(wire_bytes)
+        try:
+            nxt = self._next_hop_or_fail(node, dst)
+        except LinkFailure as exc:
+            self._route_lost(packet, exc)
+            return
+        self._aim(packet, node, nxt)
+        self._hop(packet)
+
+    def _route_crossed(self, packet: "_Packet") -> None:
+        packet.steps = steps = packet.steps + 1
+        if steps > 2 * self.topology.n:
+            self._route_lost(
+                packet,
+                LinkFailure(
+                    f"{self.name}: routing loop {packet.src}->{packet.dst} under churn"
+                ),
+            )
+            return
+        self._route_from(packet, packet.nxt)
+
+    def _route_lost(self, packet: "_Packet", exc: LinkFailure) -> None:
+        self.stats.add("dl.send_failures")
+        self.sim.trace.end(packet.span, status="failed")
+        packet.done.fail(exc)
 
     def stream(self, src: int, dst: int, wire_bytes: int) -> SimEvent:
         """Pipelined bulk transfer ``src -> dst``.
@@ -299,72 +330,78 @@ class PacketNetwork:
             event = self.sim.event(name=self._n_stream_self)
             self.sim.schedule(0, event.succeed, wire_bytes)
             return event
-        done = self.sim.event(name=self._n_stream)
-        self.sim.process(
-            self._stream_proc(src, dst, wire_bytes, done),
-            name=self._n_stream_route,
-        )
+        done = SimEvent(self.sim, self._n_stream)
+        self.sim.schedule(0, self._stream_start, _Packet(src, dst, wire_bytes, done))
         return done
 
-    def _stream_proc(self, src: int, dst: int, wire_bytes: int, done: SimEvent):
+    def _stream_start(self, train: "_Packet") -> None:
         trace = self.sim.trace
-        span = (
-            trace.begin(
+        if trace.enabled:
+            train.span = trace.begin(
                 "network",
                 "stream",
                 f"{self.name}.stream",
-                src=src,
-                dst=dst,
-                bytes=wire_bytes,
+                src=train.src,
+                dst=train.dst,
+                bytes=train.wire_bytes,
             )
-            if trace.enabled
-            else None
-        )
-        attempt = 0
-        while True:
-            try:
-                path = self.topology.path(src, dst)
-            except RoutingError as exc:
-                self.stats.add("dl.unroutable")
-                self.stats.add("dl.send_failures")
-                trace.end(span, status="failed")
-                done.fail(LinkFailure(f"{self.name}: no live route {src}->{dst}"))
-                return
-            edge_key = self.topology.edge_key
-            keys = [edge_key(a, b) for a, b in zip(path, path[1:])]
-            dead = [key for key in keys if not self._state[key].up]
-            if not dead:
-                transfers = [
-                    self.link(a, b).transfer(wire_bytes)
-                    for a, b in zip(path, path[1:])
-                ]
-                hops = len(transfers)
-                yield AllOf(transfers)
-                yield self.hop_latency_ps * hops
-                self.stats.add("dl.hop_bytes", wire_bytes * hops)
-                self.stats.add("dl.hops", hops)
-                self.stats.add("dl.packets")
-                trace.end(span, status="delivered", hops=hops)
-                done.succeed(wire_bytes)
-                return
-            for edge in dead:
-                self.stats.add("dl.ack_timeouts")
-                self.watchdog.report_timeout(edge)
-            attempt += 1
-            if attempt > MAX_RETRIES:
-                self.stats.add("dl.send_failures")
-                trace.end(span, status="failed")
-                done.fail(
-                    LinkFailure(
-                        f"{self.name}: stream {src}->{dst} gave up after "
-                        f"{MAX_RETRIES} retries"
-                    )
-                )
-                return
-            backoff = self._backoff_ps(attempt)
-            self.stats.add("dl.retransmissions")
-            self.stats.add("dl.backoff_ps", backoff)
-            yield backoff
+        self._stream_try(train)
+
+    def _stream_try(self, train: "_Packet") -> None:
+        """One issue of the whole train over the then-live path."""
+        try:
+            path = self.topology.path(train.src, train.dst)
+        except RoutingError:
+            self.stats.add("dl.unroutable")
+            self._stream_lost(
+                train, f"{self.name}: no live route {train.src}->{train.dst}"
+            )
+            return
+        edge_key = self.topology.edge_key
+        keys = [edge_key(a, b) for a, b in zip(path, path[1:])]
+        dead = [key for key in keys if not self._state[key].up]
+        if not dead:
+            transfers = [
+                self.link(a, b).transfer(train.wire_bytes)
+                for a, b in zip(path, path[1:])
+            ]
+            train.steps = len(transfers)
+            join = Join(self.sim, len(transfers) + 1, self._stream_sent, train)
+            for transfer in transfers:
+                transfer.add_callback(join.ok)
+            join.ok()
+            return
+        for edge in dead:
+            self.stats.add("dl.ack_timeouts")
+            self.watchdog.report_timeout(edge)
+        train.attempt = attempt = train.attempt + 1
+        if attempt > MAX_RETRIES:
+            self._stream_lost(
+                train,
+                f"{self.name}: stream {train.src}->{train.dst} gave up after "
+                f"{MAX_RETRIES} retries",
+            )
+            return
+        backoff = self._backoff_ps(attempt)
+        self.stats.add("dl.retransmissions")
+        self.stats.add("dl.backoff_ps", backoff)
+        self.sim.schedule(backoff, self._stream_try, train)
+
+    def _stream_sent(self, train: "_Packet") -> None:
+        self.sim.schedule(self.hop_latency_ps * train.steps, self._stream_done, train)
+
+    def _stream_done(self, train: "_Packet") -> None:
+        hops = train.steps
+        self.stats.add("dl.hop_bytes", train.wire_bytes * hops)
+        self.stats.add("dl.hops", hops)
+        self.stats.add("dl.packets")
+        self.sim.trace.end(train.span, status="delivered", hops=hops)
+        train.done.succeed(train.wire_bytes)
+
+    def _stream_lost(self, train: "_Packet", reason: str) -> None:
+        self.stats.add("dl.send_failures")
+        self.sim.trace.end(train.span, status="failed")
+        train.done.fail(LinkFailure(reason))
 
     def broadcast(self, root: int, wire_bytes: int) -> SimEvent:
         """Flood ``wire_bytes`` from ``root`` to every node; fires when all
@@ -395,61 +432,74 @@ class PacketNetwork:
             return done
         arrival: Dict[int, SimEvent] = {root: self.sim.event()}
         arrival[root].succeed(None)
-
-        def forward(parent: int, child: int):
-            # the link reserves its occupancy as soon as the parent begins
-            # receiving (flits stream through); completion needs both the
-            # serialisation to finish and the parent's data to be there
-            edge = self.topology.edge_key(parent, child)
-            state = self._state[edge]
-            if state.up and not state.marked_down:
-                transfer = self.link(parent, child).transfer(wire_bytes)
-                yield AllOf([arrival[parent], transfer])
-                self.watchdog.report_success(edge)
-            else:
-                # dead link: drop to the per-hop retry/backoff loop
-                # (raises LinkFailure on exhaustion)
-                yield arrival[parent]
-                yield from self._hop_with_retry(parent, child, wire_bytes)
-            yield self.hop_latency_ps
-            self.stats.add("dl.hop_bytes", wire_bytes)
-            self.stats.add("dl.hops")
-            arrival[child].succeed(None)
-
-        children = []
+        flood = _Flood(done, wire_bytes)
+        # one branch per tree edge, plus the finishing step's hold
+        join = Join(self.sim, len(tree) + 1, self._flood_done, flood)
         for parent, child in tree:
             arrival.setdefault(child, self.sim.event())
-            children.append(
-                self.sim.process(forward(parent, child), name=self._n_bc)
-            )
-
+            branch = _Packet(parent, child, wire_bytes, None)
+            branch.arrival = arrival
+            branch.flood = flood
+            branch.join = join
+            branch.crossed = self._flood_crossed
+            branch.lost = self._flood_lost
+            self.sim.schedule(0, self._flood_edge, branch)
         trace = self.sim.trace
-        span = (
-            trace.begin(
+        if trace.enabled:
+            flood.span = trace.begin(
                 "network",
                 "broadcast",
                 f"{self.name}.broadcast",
                 root=root,
                 bytes=wire_bytes,
             )
-            if trace.enabled
-            else None
-        )
-
-        def finish():
-            try:
-                yield AllOf(children)
-            except LinkFailure as exc:
-                self.stats.add("dl.send_failures")
-                trace.end(span, status="failed")
-                done.fail(exc)
-                return
-            self.stats.add("dl.broadcasts")
-            trace.end(span, status="delivered")
-            done.succeed(wire_bytes)
-
-        self.sim.process(finish(), name=self._n_bc_finish)
+        self.sim.schedule(0, join.ok, None)
         return done
+
+    # A flood branch is a packet record for one tree edge.  It starts once
+    # the parent begins receiving; it ends by marking the child's arrival
+    # and counting down the flood's join.  A branch that gives up takes a
+    # lane slot of its own, and the first such slot fails the flood: a
+    # process waiting on ``AllOf`` over the branches was resumed once per
+    # failed branch and dropped all but the first resume.
+
+    def _flood_edge(self, branch: "_Packet") -> None:
+        parent, child = branch.src, branch.dst
+        state = self._aim(branch, parent, child)
+        if state.up and not state.marked_down:
+            # the link reserves its occupancy as soon as the parent begins
+            # receiving (flits stream through); completion needs both the
+            # serialisation to finish and the parent's data to be there
+            transfer = self._links[(parent, child)].transfer(branch.wire_bytes)
+            join = Join(self.sim, 3, self._hop_acked, branch)
+            branch.arrival[parent].add_callback(join.ok)
+            transfer.add_callback(join.ok)
+            join.ok()
+        else:
+            # dead link: drop to the per-hop retry/backoff loop once the
+            # parent has the data
+            branch.arrival[parent].then(self._hop, branch)
+
+    def _flood_crossed(self, branch: "_Packet") -> None:
+        branch.arrival[branch.dst].succeed(None)
+        branch.join.ok()
+
+    def _flood_lost(self, branch: "_Packet", exc: LinkFailure) -> None:
+        self.sim.schedule(0, self._flood_failed, (branch.flood, exc))
+
+    def _flood_failed(self, failure) -> None:
+        flood, exc = failure
+        if flood.failed:
+            return
+        flood.failed = True
+        self.stats.add("dl.send_failures")
+        self.sim.trace.end(flood.span, status="failed")
+        flood.done.fail(exc)
+
+    def _flood_done(self, flood: "_Flood") -> None:
+        self.stats.add("dl.broadcasts")
+        self.sim.trace.end(flood.span, status="delivered")
+        flood.done.succeed(flood.wire_bytes)
 
     def total_busy_ps(self) -> int:
         """Sum of busy time across every directed link."""
@@ -462,3 +512,39 @@ class PacketNetwork:
     def iter_link_stats(self) -> Iterable[Tuple[Edge, BandwidthResource]]:
         """(directed edge, resource) pairs for reporting."""
         return self._links.items()
+
+
+class _Packet:
+    """One packet, stream train or flood branch in flight.
+
+    ``node -> nxt`` is the hop under way, ``edge``/``state`` its link and
+    ``attempt`` its retry count; ``steps`` counts hops crossed.  A flood
+    branch carries its ``flood``, that flood's ``arrival`` events and
+    its ``join`` instead of a ``done`` event.
+    """
+
+    __slots__ = (
+        "src", "dst", "wire_bytes", "done", "span", "node", "nxt", "steps",
+        "edge", "state", "attempt", "crossed", "lost", "arrival", "flood", "join",
+    )
+
+    def __init__(self, src: int, dst: int, wire_bytes: int, done) -> None:
+        self.src = src
+        self.dst = dst
+        self.wire_bytes = wire_bytes
+        self.done = done
+        self.span = None
+        self.steps = 0
+        self.attempt = 0
+
+
+class _Flood:
+    """One flood: its completion event, trace span and outcome."""
+
+    __slots__ = ("done", "wire_bytes", "span", "failed")
+
+    def __init__(self, done: SimEvent, wire_bytes: int) -> None:
+        self.done = done
+        self.wire_bytes = wire_bytes
+        self.span = None
+        self.failed = False

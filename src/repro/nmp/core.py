@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro.config import NMPConfig
+from repro.dram.address import PAGE_BYTES, page_offset
 from repro.nmp.executor import ThreadExecutor
 from repro.sim.engine import SimEvent, Simulator
 from repro.sim.stats import StatRegistry
@@ -90,34 +91,40 @@ class NMPCore(ThreadExecutor):
         through the active IDC mechanism) before the triggering access,
         which is then served by the new owner — usually locally.
         """
-        from repro.dram.address import PAGE_BYTES, page_offset
-
         if self.idc is None:
             raise RuntimeError(f"{self.name}: core not bound to an IDC mechanism")
-        src, dst = migration
         done = self.sim.event(name=f"{self.name}.migrated")
-
-        def proc():
-            begin = self.sim.now
-            trace = self.sim.trace
-            span = (
-                trace.begin(
-                    "placement", "migrate", self.name, page=op.page, src=src, dst=dst
-                )
-                if trace.enabled
-                else None
-            )
-            yield self.idc.remote_read(dst, src, page_offset(op.page), PAGE_BYTES)
-            self.stats.add("placement.migrations")
-            self.stats.add("placement.migrated_bytes", PAGE_BYTES)
-            self.stats.add("placement.migration_ps", self.sim.now - begin)
-            if span is not None:
-                trace.end(span)
-            yield self.mc.submit(target, op.offset, op.nbytes, is_write)
-            done.succeed(op.nbytes)
-
-        self.sim.process(proc(), name=f"{self.name}.migrate")
+        self.sim.schedule(0, self._migrate, (op, target, migration, is_write, done))
         return done
+
+    # A migration is a callback chain over ``(op, target, (src, dst),
+    # is_write, done)``, extended by its start time and trace span.
+
+    def _migrate(self, move) -> None:
+        op, _target, (src, dst), _is_write, _done = move
+        trace = self.sim.trace
+        span = (
+            trace.begin("placement", "migrate", self.name, page=op.page, src=src, dst=dst)
+            if trace.enabled
+            else None
+        )
+        self.idc.remote_read(dst, src, page_offset(op.page), PAGE_BYTES).then(
+            self._migrated, move + (self.sim.now, span)
+        )
+
+    def _migrated(self, move) -> None:
+        op, target, _migration, is_write, _done, begin, span = move
+        self.stats.add("placement.migrations")
+        self.stats.add("placement.migrated_bytes", PAGE_BYTES)
+        self.stats.add("placement.migration_ps", self.sim.now - begin)
+        if span is not None:
+            self.sim.trace.end(span)
+        self.mc.submit(target, op.offset, op.nbytes, is_write).then(
+            self._migrated_access_done, move
+        )
+
+    def _migrated_access_done(self, move) -> None:
+        move[4].succeed(move[0].nbytes)
 
     def broadcast(self, op: Broadcast) -> SimEvent:
         if self.idc is None:

@@ -64,13 +64,7 @@ class LocalMemoryController:
         return done
 
     def _admit(self, request) -> None:
-        grant = self.buffer.acquire()
-        if grant.triggered:
-            self.sim.schedule(0, self._arbitrate, request)
-        else:
-            grant.add_callback(
-                lambda _grant: self.sim.schedule(0, self._arbitrate, request)
-            )
+        self.buffer.acquire().then(self._arbitrate, request)
 
     def _arbitrate(self, request) -> None:
         self.sim.schedule(ARBITER_LATENCY_PS, self._dispatch, request)
@@ -93,9 +87,7 @@ class LocalMemoryController:
             remote = self.idc.remote_write(self.dimm_id, target_dimm, offset, nbytes)
         else:
             remote = self.idc.remote_read(self.dimm_id, target_dimm, offset, nbytes)
-        remote.add_callback(
-            lambda event: self.sim.schedule(0, self._remote_done, (request, event))
-        )
+        remote.then(self._remote_done, (request, remote))
 
     def _dram_done(self, request) -> None:
         self.sim.schedule(0, self._finish, request)

@@ -3,6 +3,7 @@
 from repro.sim.engine import (
     AllOf,
     AnyOf,
+    Join,
     Process,
     SimEvent,
     Simulator,
@@ -18,6 +19,7 @@ from repro.sim import time
 __all__ = [
     "AllOf",
     "AnyOf",
+    "Join",
     "Process",
     "SimEvent",
     "Simulator",

@@ -23,6 +23,13 @@ by throwing an exception into the process at the current time.
 The kernel is single-threaded and deterministic: events scheduled at the
 same timestamp fire in scheduling order.
 
+Most of the model does not run as processes but as *callback chains*:
+plain functions over a record, one per simulator slot, where each step
+schedules the next with :meth:`Simulator.schedule` (a delay) or
+:meth:`SimEvent.then` (an event), and a :class:`Join` counts down the
+branches of a fork.  ``then`` takes exactly the lane slot a waiting
+process's resume would, so a chain replays its generator's event order.
+
 One loop drains the work (:meth:`Simulator.run`).  Callbacks due at a
 *future* time wait on a heap of ``(time, seq, callback, arg)``; callbacks
 due *now* — zero-delay schedules, process starts, event resumes — go on a
@@ -162,9 +169,10 @@ class SimEvent:
     :meth:`fail` instead fires it with an exception, which is thrown into
     every waiting process.
 
-    ``_callbacks`` holds, in registration order, plain callbacks and the
-    :class:`_Waiter` records of suspended processes; firing runs the
-    former and puts the latter's resumes on the simulator's lane.
+    ``_callbacks`` holds, in registration order, plain callbacks and
+    ``(step, arg)`` continuations — :meth:`then` records and the
+    ``(_resume_waiter, waiter)`` records of suspended processes alike.
+    Firing runs the former and puts the latter on the simulator's lane.
     """
 
     __slots__ = ("sim", "name", "_value", "_triggered", "_failed", "_callbacks")
@@ -207,9 +215,9 @@ class SimEvent:
             sim = self.sim
             lane = sim._lane
             for callback in callbacks:
-                if type(callback) is _Waiter:
+                if type(callback) is tuple:
                     sim._seq += 1
-                    lane.append((_resume_waiter, callback))
+                    lane.append(callback)
                 else:
                     callback(self)
         return self
@@ -239,6 +247,23 @@ class SimEvent:
             callback(self)
         else:
             self._callbacks.append(callback)
+
+    def then(self, step: Callable[[Any], None], arg: Any = None) -> None:
+        """Run ``step(arg)`` in the lane slot after the event fires.
+
+        The continuation of a callback chain: it takes exactly the slot a
+        process waiting on the event would resume in — appended to the
+        lane when the event fires, in registration order among the
+        event's other callbacks, or at once if it has already fired.  It
+        runs whether the event succeeded or failed; a step that can see a
+        failure reads :attr:`failed` and :attr:`value` itself.
+        """
+        if self._triggered:
+            sim = self.sim
+            sim._seq += 1
+            sim._lane.append((step, arg))
+        else:
+            self._callbacks.append((step, arg))
 
 
 class _Waiter:
@@ -294,6 +319,40 @@ class AnyOf:
             raise SimulationError("AnyOf needs at least one child")
 
 
+class Join:
+    """A countdown over the branches of a callback chain: the chain
+    counterpart of a process waiting on :class:`AllOf`.
+
+    ``Join(sim, pending, step, arg)`` runs ``step(arg)`` in the lane slot
+    after its ``pending``-th :meth:`ok`.  The creator counts one hold of
+    its own and releases it with :meth:`ok` where a process would have
+    yielded the ``AllOf``; every branch — a chain ending, or an event
+    through ``event.add_callback(join.ok)`` — calls :meth:`ok` once.
+    That takes exactly ``Process._wait_all``'s slots: a branch that ended
+    before the wait counts at the wait, a later one when it ends, and
+    only the last count lane-schedules the step.  A branch that fails
+    never counts down; its owner handles the failure.
+    """
+
+    __slots__ = ("sim", "pending", "step", "arg")
+
+    def __init__(
+        self, sim: "Simulator", pending: int, step: Callable[[Any], None], arg: Any = None
+    ) -> None:
+        self.sim = sim
+        self.pending = pending
+        self.step = step
+        self.arg = arg
+
+    def ok(self, _event: Any = None) -> None:
+        """One branch, or the creator's hold, is done."""
+        self.pending -= 1
+        if not self.pending:
+            sim = self.sim
+            sim._seq += 1
+            sim._lane.append((self.step, self.arg))
+
+
 class Process:
     """A running simulation process wrapping a generator.
 
@@ -301,8 +360,8 @@ class Process:
     is a :class:`SimEvent` fired on completion.  If the generator raises
     an :class:`Exception`, ``done`` fails (throwing into any waiter); with
     no waiter the exception propagates out of :meth:`Simulator.run`, and
-    ``done`` stays untriggered.  ``done`` is built on first use: most
-    processes are fire-and-forget and never need one.
+    ``done`` stays untriggered.  ``done`` is built on first use: a process
+    nobody waits on never needs one.
 
     Every suspension records a wait *epoch*; resumes carry the epoch they
     were registered under and are ignored once stale.  That is what lets
@@ -436,13 +495,7 @@ class Process:
                     f"process {self.name!r} yielded negative delay {target}"
                 )
         elif kind is SimEvent:
-            waiter = _Waiter(self, self._epoch, target)
-            if target._triggered:
-                sim = self.sim
-                sim._seq += 1
-                sim._lane.append((_resume_waiter, waiter))
-            else:
-                target._callbacks.append(waiter)
+            target.then(_resume_waiter, _Waiter(self, self._epoch, target))
         else:
             self._wait_on(target)
 

@@ -5,9 +5,13 @@ event waits as slotted waiter records, builds ``Process.done`` lazily and
 hands out shared pre-fired grants.  The referee below is the kernel it
 replaced, kept deliberately naive: every schedule — same-time ones
 included — is a heap push, every wait registers a closure, and ``done``
-is created eagerly.  Seeded random process programs drive both kernels
-through zero-delay and at-now callbacks, waits on fired events and
-finished processes, ``AllOf``/``AnyOf`` with failures, interrupts,
+is created eagerly.  Its ``SimEvent.then`` is the lambda bounce callback
+chains used before the primitive existed: a plain callback that
+schedules the step with zero delay.  Seeded random process programs
+drive both kernels through zero-delay and at-now callbacks, waits on
+fired events and finished processes, ``then`` continuations and plain
+callbacks on fired, failing and shared events, ``AllOf``/``AnyOf`` with
+failures, interrupts,
 ``run(until=)`` segments (including ``until < now``), exact
 ``max_events`` budgets, watchdog checks and deadlock detection.  The
 callback order, clock values, final ``_seq``, return values and
@@ -90,6 +94,9 @@ class SimEvent:
             callback(self)
         else:
             self._callbacks.append(callback)
+
+    def then(self, step, arg=None):
+        self.add_callback(lambda _event: self.sim.schedule(0, step, arg))
 
 
 class AllOf:
@@ -328,7 +335,8 @@ class Interrupted(Exception):
 
 
 OPS = (
-    "sleep", "sched", "at_now", "at", "event", "wait_event", "spawn",
+    "sleep", "sched", "at_now", "at", "event", "wait_event", "spawn", "then", "plain",
+    "shared",
     "wait_proc", "allof", "anyof", "interrupt", "fire", "raise",
 )
 
@@ -347,7 +355,10 @@ def make_program(rng, depth, chaos):
             steps.append(("at", rng.choice((0, 1, 4, 9))))
         elif op == "event":
             steps.append(("event", rng.choice((0, 0, 2, 6)), chaos and rng.random() < 0.3))
-        elif op in ("wait_event", "wait_proc", "interrupt", "fire"):
+        elif op == "shared":
+            fails = chaos and rng.random() < 0.4
+            steps.append(("shared", rng.choice((0, 1, 4)), fails, rng.random() < 0.5))
+        elif op in ("wait_event", "wait_proc", "interrupt", "fire", "then", "plain"):
             steps.append((op, rng.randrange(64)))
         elif op == "spawn" and depth < 2:
             steps.append(("spawn", make_program(rng, depth + 1, chaos)))
@@ -380,11 +391,27 @@ class World:
         self.abort_at = rng.choice((None, 2, 5))
         #: how often the rarer paths were hit (coverage only, not logged)
         self.seen = dict.fromkeys(
-            ("fired_wait", "finished_wait", "mid_lane_check", "lane_at_deadlock_check"), 0
+            ("fired_wait", "finished_wait", "mid_lane_check", "lane_at_deadlock_check",
+             "fired_then", "failed_then", "shared_event"), 0
         )
+        #: event index -> kinds registered on it while untriggered
+        self.kinds = {}
 
     def note(self, tag):
         self.log.append((self.sim.now, "cb", tag))
+
+    def register(self, index, kind):
+        event = self.events[index]
+        if not event.triggered:
+            kinds = self.kinds.setdefault(index, set())
+            kinds.add(kind)
+            self.seen["shared_event"] += kinds == {"waiter", "then", "plain"}
+
+    def resumed(self, step):
+        """A ``then`` continuation: logs what it reads off its event."""
+        tag, event = step
+        self.seen["failed_then"] += event.failed
+        self.log.append((self.sim.now, "then", tag, event.failed, repr(event.value)))
 
     def spawn(self, steps):
         pid = f"p{len(self.procs)}"
@@ -424,9 +451,45 @@ class World:
                     self.events.append(sim.event(f"e{index}"))
                     sim.schedule(step[1], lambda _a, i=index, f=step[2]: self.fire(i, f))
                 elif op == "wait_event" and self.events:
-                    event = self.events[step[1] % len(self.events)]
+                    index = step[1] % len(self.events)
+                    event = self.events[index]
                     self.seen["fired_wait"] += event.triggered
+                    self.register(index, "waiter")
                     outcome = yield event
+                elif op == "then" and self.events:
+                    index = step[1] % len(self.events)
+                    event = self.events[index]
+                    self.seen["fired_then"] += event.triggered
+                    self.register(index, "then")
+                    event.then(self.resumed, (f"{pid}.{n}", event))
+                elif op == "shared":
+                    # a continuation, a plain callback and this process's
+                    # wait, all on one fresh event
+                    index = len(self.events)
+                    event = sim.event(f"e{index}")
+                    self.events.append(event)
+                    sim.schedule(step[1], lambda _a, i=index, f=step[2]: self.fire(i, f))
+                    kinds = ("then", "plain") if step[3] else ("plain", "then")
+                    for kind in kinds:
+                        self.register(index, kind)
+                        if kind == "then":
+                            event.then(self.resumed, (f"{pid}.{n}", event))
+                        else:
+                            event.add_callback(
+                                lambda ev, tag=f"{pid}.{n}": self.log.append(
+                                    (sim.now, "plain", tag, ev.failed, repr(ev.value))
+                                )
+                            )
+                    self.register(index, "waiter")
+                    outcome = yield event
+                elif op == "plain" and self.events:
+                    index = step[1] % len(self.events)
+                    self.register(index, "plain")
+                    self.events[index].add_callback(
+                        lambda ev, tag=f"{pid}.{n}": self.log.append(
+                            (sim.now, "plain", tag, ev.failed, repr(ev.value))
+                        )
+                    )
                 elif op == "spawn":
                     self.spawn(step[1])
                 elif op == "wait_proc":

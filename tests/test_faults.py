@@ -127,6 +127,21 @@ def test_total_bridge_loss_still_completes():
     assert result.time_ps > 0
 
 
+def test_a_link_named_twice_counts_as_one_link_down():
+    # the second fault names the same link from its other end: it fires,
+    # but there is no link left to take down
+    faults = FaultSchedule(
+        [
+            LinkDown(time_ps=300_000, dimm_a=1, dimm_b=2),
+            LinkDown(time_ps=400_000, dimm_a=2, dimm_b=1),
+        ]
+    )
+    result = _run(faults=faults)
+    assert result.counter("fault.injected") == 2
+    assert result.counter("fault.links_down") == 1
+    assert result.counter("dl.links_marked_down") == 1
+
+
 def _both_links_of_dimm1():
     # DIMM 1 sits mid-chain (0-1-2-3): both its links die
     return FaultSchedule(

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import AllOf, AnyOf, Simulator
+from repro.sim import AllOf, AnyOf, Join, Simulator
 from repro.sim.time import ns
 
 
@@ -572,3 +572,125 @@ def test_done_of_a_finished_process_is_built_fired():
     sim.run()
     assert handle.done.triggered and handle.done.value == "ok"
     assert handle.done.name == "proc.done"
+
+
+# -- continuations (SimEvent.then) and joins -------------------------------------------
+
+
+def test_then_on_a_fired_event_takes_the_next_lane_slot():
+    sim = Simulator()
+    log = []
+    event = sim.event("e").succeed(7)
+    seq = sim._seq
+    event.then(lambda arg: log.append(("step", arg, sim.now)), "a")
+    sim.schedule(0, lambda arg: log.append(("after", arg, sim.now)), "b")
+    assert log == [] and sim._seq == seq + 2  # queued, not run inline
+    sim.run()
+    assert log == [("step", "a", 0), ("after", "b", 0)]
+
+
+def test_then_runs_after_a_failure_and_reads_it():
+    sim = Simulator()
+    seen = []
+    event = sim.event("lost")
+
+    def step(arg):
+        seen.append((arg, event.failed, str(event.value), sim.now))
+
+    event.then(step, "op")
+    sim.schedule(5, event.fail, RuntimeError("link down"))
+    sim.run()  # the continuation counts as a waiter: fail() does not raise
+    assert seen == [("op", True, "link down", 5)]
+
+
+def test_then_keeps_its_place_among_waiters_and_plain_callbacks():
+    sim = Simulator()
+    log = []
+    event = sim.event("shared")
+
+    def waiter(tag):
+        value = yield event
+        log.append((tag, value))
+
+    sim.process(waiter("w1"))
+    sim.run()  # the waiter registers first
+    event.then(lambda arg: log.append((arg, event.value)), "then")
+    event.add_callback(lambda ev: log.append(("plain", ev.value)))
+    sim.process(waiter("w2"))
+    sim.run()
+    sim.schedule(3, event.succeed, "v")
+    sim.run()
+    # the plain callback runs inside succeed(); the waiter records and the
+    # continuation take lane slots in registration order
+    assert log == [("plain", "v"), ("w1", "v"), ("then", "v"), ("w2", "v")]
+
+
+def _join_twins(outcomes):
+    """Run a process waiting on ``AllOf`` and a ``Join`` over the same
+    branch events; ``outcomes`` lists ``(delay, fails)`` per branch, delay
+    0 meaning fired before the wait.  Both waits register in the first
+    lane slot: the process start, or the step that builds the join.  A
+    failed branch takes a lane slot of its own, and the first one ends
+    the wait, as the packet network's floods do."""
+    runs = []
+    for use_join in (False, True):
+        sim = Simulator()
+        log = []
+        events = [sim.event(f"b{i}") for i in range(len(outcomes))]
+        for event, (delay, fails) in zip(events, outcomes):
+            if delay == 0:
+                event.succeed("early")
+            elif fails:
+                sim.schedule(delay, event.fail, RuntimeError(f"{event.name} failed"))
+            else:
+                sim.schedule(delay, event.succeed, event.name)
+        # a bystander lane entry after every wake-up shows the slot order
+        for time in sorted({d for d, _f in outcomes} | {0}):
+            sim.schedule(time, lambda t: sim.schedule(0, log.append, ("tick", t)), time)
+        if use_join:
+            failed = []
+
+            def failure(exc):
+                if not failed:
+                    failed.append(exc)
+                    log.append(("done", sim.now, str(exc)))
+
+            def wait(_arg):
+                for event, (_delay, fails) in zip(events, outcomes):
+                    if fails:
+                        event.add_callback(lambda ev: sim.schedule(0, failure, ev.value))
+                    else:
+                        event.add_callback(join.ok)
+                join.ok()
+
+            join = Join(sim, len(events) + 1, lambda _arg: log.append(("done", sim.now, None)))
+            sim.schedule(0, wait)
+        else:
+
+            def waiting():
+                try:
+                    yield AllOf(events)
+                except RuntimeError as exc:
+                    log.append(("done", sim.now, str(exc)))
+                    return
+                log.append(("done", sim.now, None))
+
+            sim.process(waiting())
+        sim.run()
+        runs.append((log, sim.now, sim._seq))
+    return runs
+
+
+@pytest.mark.parametrize(
+    "outcomes",
+    [
+        [(0, False), (0, False)],
+        [],
+        [(0, False), (4, False), (2, False)],
+        [(3, True), (5, True), (1, False)],
+        [(2, False), (2, True), (2, True)],
+    ],
+)
+def test_join_takes_the_slots_of_a_wait_on_allof(outcomes):
+    process_run, join_run = _join_twins(outcomes)
+    assert join_run == process_run
