@@ -21,13 +21,16 @@ Exits nonzero (via assert) if any guarantee is violated; used as the CI
 chaos step.
 """
 
+import itertools
 import sys
 import tempfile
 
+from repro.config import SystemConfig
 from repro.experiments import fig16_bandwidth
 from repro.experiments.runner import SweepRunner, execute_spec
+from repro.nmp.system import NMPSystem
 from repro.results_cache import ResultsCache
-from repro.sim.engine import Simulator
+from repro.workloads.ops import Compute
 
 #: grid: per workload a CPU reference + an 8-point bandwidth sweep;
 #: 27 specs total, so a warm rerun with 2 quarantined specs still
@@ -52,16 +55,10 @@ def chaotic_execute(spec):
     if spec == SPECS[CRASH_AT]:
         raise RuntimeError("chaos: injected crash")
     if spec == SPECS[HANG_AT]:
-        # a hung *simulation*: the event queue never drains, so the
-        # engine's StallWatchdog must cut it off and name the process
-        sim = Simulator()
-
-        def spin():
-            while True:
-                yield 1
-
-        sim.process(spin(), name="chaos.hung-kernel")
-        sim.run()
+        # a hung *simulation*: the kernel's one thread computes forever,
+        # so the event queue never drains and the engine's StallWatchdog
+        # must cut it off and name the thread
+        NMPSystem(SystemConfig.named("4D-2C")).run([lambda: itertools.repeat(Compute(100))])
     return execute_spec(spec)
 
 
@@ -94,7 +91,7 @@ def run_chaos_sweep(cache_dir: str) -> None:
         if SPECS.index(letter.spec) == HANG_AT:
             # the engine watchdog diagnosed *where* the hang was stuck
             assert "stalled at" in letter.diagnosis, letter
-            assert "chaos.hung-kernel" in letter.diagnosis, letter
+            assert "dimm0.core0.t0 <- delay " in letter.diagnosis, letter
         print(f"[chaos] dead-letter: {letter.summary()}")
 
     print("[chaos] warm rerun of the full grid (healthy specs cached) ...")

@@ -18,11 +18,11 @@ class SimulationError(ReproError):
 
 
 class DeadlockError(SimulationError):
-    """The event queue drained while processes were still blocked.
+    """The event queue drained while threads were still blocked.
 
     Structured so the sweep harness can report *where* a run hung:
-    ``blocked`` holds ``(process_name, waiting_on)`` pairs describing
-    every live process and the event/delay/condition it was suspended
+    ``blocked`` holds ``(thread_name, waiting_on)`` pairs describing
+    every live thread and the delay, event or request drain it waits
     on, and ``time_ps`` is the simulation time the queue drained at.
     """
 
@@ -37,7 +37,7 @@ class SimStallError(SimulationError):
 
     Raised by the engine's stall watchdog; ``snapshot`` is a diagnostic
     dict (simulated time, events processed, queue depth, blocked
-    processes) captured at the moment the budget expired.
+    threads) captured at the moment the budget expired.
     """
 
     def __init__(self, message: str, snapshot=None) -> None:

@@ -162,7 +162,7 @@ def main(argv=None) -> int:
         default=None,
         metavar="SECONDS",
         help="per-grid-point wall-clock budget; a hung simulation is "
-        "cut off and reported with its blocked processes (default: none)",
+        "cut off and reported with its blocked threads (default: none)",
     )
     parser.add_argument(
         "--retry-dead-letter",

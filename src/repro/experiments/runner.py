@@ -96,7 +96,7 @@ RETRY_BACKOFF_CAP_S = 2.0
 
 #: how far past ``spec_timeout`` the worker's SIGALRM backstop fires —
 #: the engine watchdog gets first shot so a hang *inside* the simulator
-#: reports its blocked processes before the coarse alarm triggers.
+#: reports its blocked threads before the coarse alarm triggers.
 ALARM_GRACE = 1.25
 
 #: extra wall-clock slack the parent grants an in-flight spec beyond the
@@ -496,7 +496,7 @@ def supervised_call(
 
     With a timeout, the engine's :class:`StallWatchdog` is armed for the
     whole call, so a hang inside ``Simulator.run`` raises
-    :class:`~repro.errors.SimStallError` with the blocked-process
+    :class:`~repro.errors.SimStallError` with the blocked-thread
     snapshot.  SIGALRM (where available, main thread only) fires
     slightly later and catches hangs the simulator cannot see —
     workload generation, placement solving, serialization.
@@ -544,7 +544,7 @@ def _diagnose(exc: BaseException) -> str:
         lines = [
             f"stalled at t={exc.snapshot.get('time_ps', '?')}ps, "
             f"queue_depth={exc.snapshot.get('queue_depth', '?')}, "
-            f"live_processes={exc.snapshot.get('live_processes', '?')}"
+            f"live_threads={exc.snapshot.get('live_threads', '?')}"
         ]
         lines += [f"  {name} <- {waiting}" for name, waiting in blocked]
         return "\n".join(lines)

@@ -15,9 +15,9 @@ from repro.config import SystemConfig
 from repro.dram.address import PAGE_BYTES, page_offset
 from repro.dram.module import DRAMModule
 from repro.dram.timing import preset
-from repro.errors import DeadlockError, WorkloadError
+from repro.errors import WorkloadError
 from repro.host.memchannel import MemoryChannel
-from repro.nmp.executor import ThreadExecutor
+from repro.nmp.executor import ThreadExecutor, deterministic_hit, run_threads
 from repro.nmp.results import RunResult
 from repro.sim.engine import SimEvent, Simulator
 from repro.sim.stats import StatRegistry
@@ -28,10 +28,6 @@ from repro.workloads.ops import Broadcast, Write
 HOST_WINDOW = 10
 #: latency of the software barrier release after the last arrival.
 SW_BARRIER_PS = ns(150.0)
-
-
-def _deterministic_hit(counter: int, hit_rate: float) -> bool:
-    return ((counter * 0x9E3779B1) >> 8) % 1000 < int(hit_rate * 1000)
 
 
 class _SoftwareBarrier:
@@ -95,7 +91,7 @@ class HostCore(ThreadExecutor):
         if migration is not None:
             return self._migrate_then_access(op, target, migration, is_write), False
         self._access_counter += 1
-        if not is_write and _deterministic_hit(
+        if not is_write and deterministic_hit(
             self._access_counter, self._llc_hit_rate
         ):
             self.stats.add("core.cache_hits")
@@ -237,25 +233,15 @@ class HostCPUSystem:
         num_dimms = self.config.num_dimms
         compute_scale = max(1.0, num_threads / self.config.host.cores)
         self.barrier = _SoftwareBarrier(self.sim, num_threads)
-        processes = []
+        placed = []
         for index, factory in enumerate(thread_factories):
             home = index * num_dimms // num_threads
             core = HostCore(
                 self.sim, self, index, compute_scale, self.stats, home_dimm=home
             )
             core.pagetable = pagetable
-            processes.append(core.run_thread(index, factory()))
-        start = self.sim.now
-        self.sim.run()
-        unfinished = [p.name for p in processes if not p.finished]
-        if unfinished:
-            blocked = self.sim.blocked_processes()
-            raise DeadlockError(
-                f"kernel deadlocked; stuck threads: {unfinished}",
-                blocked=blocked,
-                time_ps=self.sim.now,
-            )
-        ends = [p.value - start for p in processes]
+            placed.append((core, factory()))
+        ends = run_threads(self.sim, placed)
         return RunResult(
             system_name=f"cpu-{self.config.name}",
             mechanism="cpu",

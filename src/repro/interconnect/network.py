@@ -459,9 +459,8 @@ class PacketNetwork:
     # A flood branch is a packet record for one tree edge.  It starts once
     # the parent begins receiving; it ends by marking the child's arrival
     # and counting down the flood's join.  A branch that gives up takes a
-    # lane slot of its own, and the first such slot fails the flood: a
-    # process waiting on ``AllOf`` over the branches was resumed once per
-    # failed branch and dropped all but the first resume.
+    # lane slot of its own: the first such slot fails the flood, and the
+    # later ones find it failed.
 
     def _flood_edge(self, branch: "_Packet") -> None:
         parent, child = branch.src, branch.dst

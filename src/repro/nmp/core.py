@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro.config import NMPConfig
 from repro.dram.address import PAGE_BYTES, page_offset
-from repro.nmp.executor import ThreadExecutor
+from repro.nmp.executor import ThreadExecutor, deterministic_hit
 from repro.sim.engine import SimEvent, Simulator
 from repro.sim.stats import StatRegistry
 from repro.sim.time import ns
@@ -23,11 +23,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.sync import SyncManager
     from repro.idc.base import IDCMechanism
     from repro.nmp.localmc import LocalMemoryController
-
-
-def _deterministic_hit(counter: int, hit_rate: float) -> bool:
-    """Reproducible pseudo-random cache-hit decision (Weyl-style hash)."""
-    return ((counter * 0x9E3779B1) >> 8) % 1000 < int(hit_rate * 1000)
 
 
 class NMPCore(ThreadExecutor):
@@ -74,7 +69,7 @@ class NMPCore(ThreadExecutor):
         is_remote = target != self.dimm_id
         if not is_remote and not is_write:
             self._access_counter += 1
-            if _deterministic_hit(self._access_counter, self.config.local_hit_rate):
+            if deterministic_hit(self._access_counter, self.config.local_hit_rate):
                 self.stats.add("core.cache_hits")
                 hit = SimEvent(self.sim, self._n_hit)
                 self.sim.schedule(self._hit_ps, hit.succeed, op.nbytes)

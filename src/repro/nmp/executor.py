@@ -6,19 +6,102 @@ shared machinery — the bounded outstanding-request window, request
 draining, and stall-time attribution (local vs. remote/IDC, which is where
 Fig. 10's "non-overlapped IDC cycles" metric comes from) — while
 subclasses define how each op class actually costs time on their system.
+
+A thread runs as a callback chain over a :class:`Thread` record.  Ops
+that take no simulated time run inline in the current step; an op that
+waits — a ``Compute`` delay, a window slot, a drain of the outstanding
+requests, a broadcast or a barrier — ends the step, and the next step
+runs in the slot where that wait completes (DESIGN.md §12).
+:func:`run_threads` runs a kernel's threads to their end for both
+systems.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.errors import WorkloadError
-from repro.sim.engine import AllOf, Process, SimEvent, Simulator
+from repro.errors import DeadlockError, WorkloadError
+from repro.sim.engine import Join, SimEvent, Simulator
 from repro.sim.resource import SlotResource
 from repro.sim.stats import StatRegistry
 from repro.sim.time import cycles
 from repro.workloads.ops import Barrier, Broadcast, Compute, Flush, Read, Stamp, Write
+
+
+def deterministic_hit(counter: int, hit_rate: float) -> bool:
+    """Reproducible pseudo-random cache-hit decision (Weyl-style hash)."""
+    return ((counter * 0x9E3779B1) >> 8) % 1000 < int(hit_rate * 1000)
+
+
+class Thread:
+    """One software thread in flight: the record its callback chain
+    advances.
+
+    ``wait`` is what the thread is blocked on (a delay in ps, an event,
+    or the :class:`~repro.sim.engine.Join` of a request drain) and
+    ``end`` its finish time, None while it runs.  A running thread sits
+    in its simulator's ``live`` set, which stall and deadlock diagnoses
+    list.
+    """
+
+    __slots__ = (
+        "name", "thread_id", "ops", "op", "start", "interval_start", "span",
+        "op_span", "blocked_from", "remote_fraction", "wait", "end",
+    )
+
+    def __init__(self, name: str, thread_id: int, ops: Iterable) -> None:
+        self.name = name
+        self.thread_id = thread_id
+        self.ops = ops
+        #: the op in progress: a Read/Write awaiting its slot, or the
+        #: fence, broadcast or barrier behind a drain (None: the end drain)
+        self.op = None
+        self.start = 0
+        self.interval_start = 0
+        self.span = None
+        self.op_span = None
+        self.blocked_from = 0
+        self.remote_fraction = 0.0
+        self.wait = None
+        self.end: Optional[int] = None
+
+    def waiting_on(self) -> str:
+        """What the thread is blocked on (diagnostics)."""
+        wait = self.wait
+        if wait is None:
+            return "nothing (not yet waiting)"
+        if type(wait) is int:
+            return f"delay {wait}ps"
+        if type(wait) is Join:
+            return f"drain of {wait.pending} requests"
+        return f"event {wait.name!r}"
+
+
+def run_threads(
+    sim: Simulator, placed: Iterable[Tuple["ThreadExecutor", Iterable]]
+) -> List[int]:
+    """Run one op stream per ``(executor, ops)`` pair, numbered in order,
+    until the event queue drains; return each thread's end time relative
+    to the start.
+
+    Raises :class:`~repro.errors.DeadlockError` naming the threads that
+    never finished, with what every live thread waits on.
+    """
+    threads = [
+        executor.run_thread(thread_id, ops)
+        for thread_id, (executor, ops) in enumerate(placed)
+    ]
+    start = sim.now
+    sim.run()
+    unfinished = [thread.name for thread in threads if thread.end is None]
+    if unfinished:
+        raise DeadlockError(
+            f"kernel deadlocked; stuck threads: {unfinished}",
+            blocked=sim.blocked_threads(),
+            time_ps=sim.now,
+        )
+    return [thread.end - start for thread in threads]
 
 
 class ThreadExecutor(abc.ABC):
@@ -79,96 +162,150 @@ class ThreadExecutor(abc.ABC):
 
     # -- execution --------------------------------------------------------------
 
-    def run_thread(self, thread_id: int, ops: Iterable) -> Process:
-        """Start executing ``ops`` as a simulation process."""
-        return self.sim.process(
-            self._thread_proc(thread_id, ops), name=f"{self.name}.t{thread_id}"
-        )
+    def run_thread(self, thread_id: int, ops: Iterable) -> Thread:
+        """Start executing ``ops``; the first step takes the next lane slot."""
+        thread = Thread(f"{self.name}.t{thread_id}", thread_id, iter(ops))
+        self.sim.live.add(thread)
+        self.sim.schedule(0, self._start, thread)
+        return thread
 
-    def _thread_proc(self, thread_id: int, ops: Iterable):
+    def _start(self, thread: Thread) -> None:
         sim = self.sim
-        stats = self.stats
-        window = self._window
-        pending = self._pending
-        start = sim.now
-        interval_start = start
+        thread.start = thread.interval_start = sim.now
         trace = sim.trace
-        thread_span = (
-            trace.begin("nmp", "thread", self.name, thread=thread_id)
+        thread.span = (
+            trace.begin("nmp", "thread", self.name, thread=thread.thread_id)
             if trace.enabled
             else None
         )
-        for op in ops:
+        self._step(thread)
+
+    def _step(self, thread: Thread) -> None:
+        """Run ops until one waits, then register the step that resumes."""
+        for op in thread.ops:
             if isinstance(op, Compute):
                 duration = cycles(op.cycles * self.compute_scale, self.freq_ghz)
-                stats.add("core.busy_ps", duration)
-                yield duration
-            elif isinstance(op, (Read, Write)):
-                blocked_from = sim.now
-                yield window.acquire()
-                self._attribute_stall(sim.now - blocked_from)
-                event, is_remote = self.memory_access(op)
-                stats.add("core.mem_ops")
-                if is_remote:
-                    stats.add("core.remote_ops")
-                    stats.add("core.remote_bytes", op.nbytes)
-                if event is None:
-                    window.release()
-                    continue
-                pending[event] = is_remote
-                if is_remote:
-                    self._outstanding_remote += 1
-                event.add_callback(self._complete)
-            elif isinstance(op, Broadcast):
-                yield from self._drain()
-                blocked_from = sim.now
-                span = (
-                    trace.begin("nmp", "broadcast", self.name, thread=thread_id)
-                    if trace.enabled
-                    else None
-                )
-                yield self.broadcast(op)
-                trace.end(span)
-                stats.add("core.stall_remote_ps", sim.now - blocked_from)
-                stats.add("core.broadcasts")
-            elif isinstance(op, Barrier):
-                yield from self._drain()
-                blocked_from = sim.now
-                span = (
-                    trace.begin("nmp", "barrier", self.name, thread=thread_id)
-                    if trace.enabled
-                    else None
-                )
-                yield self.barrier(thread_id)
-                trace.end(span)
-                stats.add("core.stall_sync_ps", sim.now - blocked_from)
-                stats.add("core.barriers")
-            elif isinstance(op, Flush):
-                yield from self._drain()
-            elif isinstance(op, Stamp):
-                yield from self._drain()
-                stats.histogram(op.key).record(sim.now - interval_start)
-                interval_start = sim.now
-            else:
+                self.stats.add("core.busy_ps", duration)
+                thread.wait = duration
+                self.sim.schedule(duration, self._step, thread)
+                return
+            if isinstance(op, (Read, Write)):
+                thread.op = op
+                thread.blocked_from = self.sim.now
+                grant = thread.wait = self._window.acquire()
+                grant.then(self._granted, thread)
+                return
+            if not isinstance(op, (Broadcast, Barrier, Flush, Stamp)):
                 raise WorkloadError(f"unknown op {op!r}")
-        yield from self._drain()
-        stats.add("core.thread_ps", sim.now - start)
-        stats.add("core.threads")
-        trace.end(thread_span)
-        return sim.now
+            thread.op = op
+            if self._drain(thread) or self._after_drain(thread):
+                return
+        thread.op = None
+        if not self._drain(thread):
+            self._after_drain(thread)
+
+    def _granted(self, thread: Thread) -> None:
+        """A window slot is the thread's: issue its Read/Write."""
+        stats = self.stats
+        self._attribute_stall(self.sim.now - thread.blocked_from)
+        op = thread.op
+        event, is_remote = self.memory_access(op)
+        stats.add("core.mem_ops")
+        if is_remote:
+            stats.add("core.remote_ops")
+            stats.add("core.remote_bytes", op.nbytes)
+        if event is None:
+            self._window.release()
+        else:
+            self._pending[event] = is_remote
+            if is_remote:
+                self._outstanding_remote += 1
+            event.add_callback(self._complete)
+        self._step(thread)
 
     def _on_complete(self, event: SimEvent) -> None:
         if self._pending.pop(event):
             self._outstanding_remote -= 1
         self._window.release()
 
-    def _drain(self):
-        while self._pending:
-            blocked_from = self.sim.now
-            events = list(self._pending)
-            remote_fraction = self._remote_fraction()
-            yield AllOf(events)
-            self._split_stall(self.sim.now - blocked_from, remote_fraction)
+    def _drain(self, thread: Thread) -> bool:
+        """Wait for every outstanding request.
+
+        False when none is pending: the thread goes on in this step.
+        Otherwise :meth:`_drained` runs in the lane slot after the last
+        request completes.
+        """
+        pending = self._pending
+        if not pending:
+            return False
+        thread.blocked_from = self.sim.now
+        thread.remote_fraction = self._remote_fraction()
+        join = thread.wait = Join(self.sim, len(pending) + 1, self._drained, thread)
+        for event in pending:
+            event.add_callback(join.ok)
+        join.ok()
+        return True
+
+    def _drained(self, thread: Thread) -> None:
+        self._split_stall(self.sim.now - thread.blocked_from, thread.remote_fraction)
+        if not (self._drain(thread) or self._after_drain(thread)):
+            self._step(thread)
+
+    def _after_drain(self, thread: Thread) -> bool:
+        """Run the op behind a completed drain (None: the thread's end).
+
+        False when the thread goes on to its next op in this step.
+        """
+        op = thread.op
+        sim = self.sim
+        if op is None:
+            self._finish(thread)
+            return True
+        if isinstance(op, Flush):
+            return False
+        if isinstance(op, Stamp):
+            self.stats.histogram(op.key).record(sim.now - thread.interval_start)
+            thread.interval_start = sim.now
+            return False
+        thread.blocked_from = sim.now
+        is_broadcast = isinstance(op, Broadcast)
+        trace = sim.trace
+        thread.op_span = (
+            trace.begin(
+                "nmp", "broadcast" if is_broadcast else "barrier", self.name,
+                thread=thread.thread_id,
+            )
+            if trace.enabled
+            else None
+        )
+        event = thread.wait = (
+            self.broadcast(op) if is_broadcast else self.barrier(thread.thread_id)
+        )
+        event.then(self._synced, thread)
+        return True
+
+    def _synced(self, thread: Thread) -> None:
+        """The broadcast or barrier completed; a failed one raises."""
+        event = thread.wait
+        if event.failed:
+            raise event.value
+        sim = self.sim
+        sim.trace.end(thread.op_span)
+        if isinstance(thread.op, Broadcast):
+            self.stats.add("core.stall_remote_ps", sim.now - thread.blocked_from)
+            self.stats.add("core.broadcasts")
+        else:
+            self.stats.add("core.stall_sync_ps", sim.now - thread.blocked_from)
+            self.stats.add("core.barriers")
+        self._step(thread)
+
+    def _finish(self, thread: Thread) -> None:
+        sim = self.sim
+        self.stats.add("core.thread_ps", sim.now - thread.start)
+        self.stats.add("core.threads")
+        sim.trace.end(thread.span)
+        thread.end = sim.now
+        sim.live.discard(thread)
 
     def _remote_fraction(self) -> float:
         if not self._pending:

@@ -16,7 +16,7 @@ from typing import Callable, Iterator, List, Optional, Union
 
 from repro.config import SystemConfig
 from repro.core.sync import SyncManager
-from repro.errors import ConfigError, DeadlockError, WorkloadError
+from repro.errors import ConfigError, WorkloadError
 from repro.faults import FaultSchedule
 from repro.host.forwarding import ForwardController
 from repro.host.memchannel import MemoryChannel
@@ -24,6 +24,7 @@ from repro.host.polling import make_polling
 from repro.idc import make_mechanism
 from repro.idc.base import IDCMechanism
 from repro.nmp.dimm import DIMM
+from repro.nmp.executor import run_threads
 from repro.nmp.results import RunResult
 from repro.sim.engine import Simulator
 from repro.sim.stats import StatRegistry
@@ -134,25 +135,15 @@ class NMPSystem:
         sync.set_participants(placement)
 
         core_cursor: Counter = Counter()
-        processes = []
-        for thread_id, (factory, dimm_id) in enumerate(zip(thread_factories, placement)):
+        placed = []
+        for factory, dimm_id in zip(thread_factories, placement):
             core = self.dimms[dimm_id].cores[core_cursor[dimm_id]]
             core_cursor[dimm_id] += 1
             core.bind(self.idc, sync)
             core.pagetable = pagetable
-            processes.append(core.run_thread(thread_id, factory()))
-        start = self.sim.now
-        self.sim.run()
+            placed.append((core, factory()))
+        ends = run_threads(self.sim, placed)
         self.idc.finalize_stats()
-        unfinished = [p.name for p in processes if not p.finished]
-        if unfinished:
-            blocked = self.sim.blocked_processes()
-            raise DeadlockError(
-                f"kernel deadlocked; stuck threads: {unfinished}",
-                blocked=blocked,
-                time_ps=self.sim.now,
-            )
-        ends = [p.value - start for p in processes]
         return RunResult(
             system_name=self.config.name,
             mechanism=self.idc.name,

@@ -72,10 +72,10 @@ class ResultsCache:
     def get(self, key: str) -> Optional[RunResult]:
         """The cached result for ``key``, or ``None`` on a miss.
 
-        Any unreadable entry — truncated, corrupt JSON, or a payload
-        that no longer matches the schema — counts as a miss; the entry
-        file is moved to ``corrupt/`` (kept for post-mortem, never
-        re-parsed on later lookups) and the caller re-simulates.  So is
+        Any unreadable entry — truncated, not UTF-8, corrupt JSON, or a
+        payload that no longer matches the schema — counts as a miss;
+        the entry file is moved to ``corrupt/`` (kept for post-mortem,
+        never re-parsed on later lookups) and the caller re-simulates.  So is
         any entry whose *stored* ``key`` or ``code_version`` disagrees
         with the key it was looked up under and the current
         :data:`CODE_VERSION`: a hand-renamed, copied, or edited entry
@@ -83,12 +83,12 @@ class ResultsCache:
         """
         path = self.path_for(key)
         try:
-            text = path.read_text()
+            data = path.read_bytes()
         except OSError:
             self.misses += 1  # plain miss: nothing on disk to blame
             return None
         try:
-            payload = json.loads(text)
+            payload = json.loads(data.decode("utf-8"))
             if payload["key"] != key or payload["code_version"] != CODE_VERSION:
                 raise ValueError("cache entry does not match its filename key")
             result = RunResult.from_json_dict(payload["result"])

@@ -108,6 +108,16 @@ def test_corrupt_store_treated_as_empty(tmp_path):
     assert DeadLetterStore(directory).known("k1")["attempts"] == 2
 
 
+def test_non_utf8_store_treated_as_empty(tmp_path):
+    directory = tmp_path / "cache"
+    directory.mkdir()
+    (directory / "dead_letters.json").write_bytes(b"\x00\xff" * 64)
+    store = DeadLetterStore(directory)
+    assert len(store) == 0
+    store.record("k1", {"seed": 1}, attempts=2, error="boom")
+    assert DeadLetterStore(directory).known("k1")["attempts"] == 2
+
+
 def test_configure_wires_store_into_default_runner(tmp_path):
     previous = get_runner()
     try:

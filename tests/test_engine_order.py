@@ -1,21 +1,21 @@
 """Reference-order test for the event loop.
 
-:mod:`repro.sim.engine` runs same-time work from a FIFO lane, registers
-event waits as slotted waiter records, builds ``Process.done`` lazily and
-hands out shared pre-fired grants.  The referee below is the kernel it
-replaced, kept deliberately naive: every schedule — same-time ones
-included — is a heap push, every wait registers a closure, and ``done``
-is created eagerly.  Its ``SimEvent.then`` is the lambda bounce callback
-chains used before the primitive existed: a plain callback that
-schedules the step with zero delay.  Seeded random process programs
-drive both kernels through zero-delay and at-now callbacks, waits on
-fired events and finished processes, ``then`` continuations and plain
-callbacks on fired, failing and shared events, ``AllOf``/``AnyOf`` with
-failures, interrupts,
+:mod:`repro.sim.engine` runs same-time work from a FIFO lane, continues
+chains in lane slots (``SimEvent.then``, ``Join``) and hands out shared
+pre-fired grants.  The referee below is the kernel it replaced, kept
+deliberately naive: every schedule — same-time ones included — is a heap
+push, every wait registers a closure, and a ``Join`` reaching zero
+schedules its step with zero delay.  Its ``SimEvent.then`` is the lambda
+bounce callback chains used before the primitive existed: a plain
+callback that schedules the step with zero delay.  Seeded random
+programs run as generator processes — the referee's own on its side,
+:mod:`tests.genproc` on the engine's — and drive both kernels through
+zero-delay and at-now callbacks, waits on fired events and finished
+processes, ``then`` continuations, ``Join`` countdowns and plain
+callbacks on fired, failing and shared events, ``AllOf`` with failures,
 ``run(until=)`` segments (including ``until < now``), exact
-``max_events`` budgets, watchdog checks and deadlock detection.  The
-callback order, clock values, final ``_seq``, return values and
-exceptions must be identical.
+``max_events`` budgets and watchdog checks.  The callback order, clock
+values, final ``_seq``, return values and exceptions must be identical.
 """
 
 import heapq
@@ -24,25 +24,12 @@ from typing import Any, List
 
 import pytest
 
-from repro.errors import DeadlockError, SimStallError, SimulationError
-from repro.sim import engine as lane_kernel
+from repro.errors import SimStallError, SimulationError
+from repro.sim import engine
 from repro.sim.engine import StallWatchdog
+from tests import genproc
 
-# -- the referee: one heap push per schedule, closures, eager done -----------------
-
-
-def _describe_wait(target: Any) -> str:
-    if isinstance(target, int):
-        return f"delay {target}ps"
-    if isinstance(target, Process):
-        return f"process {target.name!r}"
-    if isinstance(target, SimEvent):
-        return f"event {target.name!r}"
-    if isinstance(target, AllOf):
-        return f"AllOf({len(target.children)} children)"
-    if isinstance(target, AnyOf):
-        return f"AnyOf({len(target.children)} children)"
-    return "nothing (not yet waiting)" if target is None else repr(target)
+# -- the referee: one heap push per schedule, closures ------------------------------
 
 
 class SimEvent:
@@ -104,11 +91,17 @@ class AllOf:
         self.children = list(children)
 
 
-class AnyOf:
-    def __init__(self, children):
-        self.children = list(children)
-        if not self.children:
-            raise SimulationError("AnyOf needs at least one child")
+class Join:
+    def __init__(self, sim, pending, step, arg=None):
+        self.sim = sim
+        self.pending = pending
+        self.step = step
+        self.arg = arg
+
+    def ok(self, _event=None):
+        self.pending -= 1
+        if self.pending == 0:
+            self.sim.schedule(0, self.step, self.arg)
 
 
 class Process:
@@ -119,8 +112,6 @@ class Process:
         self._gen = gen
         self._finished = False
         self._epoch = 0
-        self._blocked_on = None
-        sim._live.add(self)
         sim._schedule_now(lambda _arg: self._advance(False, None), None)
 
     @property
@@ -130,14 +121,6 @@ class Process:
     @property
     def value(self):
         return self.done.value
-
-    def waiting_on(self):
-        return "finished" if self._finished else _describe_wait(self._blocked_on)
-
-    def interrupt(self, exc):
-        self.sim._schedule_now(
-            lambda _arg: None if self._finished else self._advance(True, exc), None
-        )
 
     def _resume(self, epoch, throw, value):
         if self._finished or epoch != self._epoch:
@@ -150,12 +133,10 @@ class Process:
             target = self._gen.throw(value) if throw else self._gen.send(value)
         except StopIteration as stop:
             self._finished = True
-            self.sim._live.discard(self)
             self.done.succeed(stop.value)
             return
         except BaseException as exc:
             self._finished = True
-            self.sim._live.discard(self)
             if self.done._callbacks:
                 self.done.fail(exc)
                 return
@@ -164,7 +145,6 @@ class Process:
 
     def _wait_on(self, target):
         epoch = self._epoch
-        self._blocked_on = target
         if isinstance(target, int):
             if target < 0:
                 raise SimulationError(
@@ -180,8 +160,6 @@ class Process:
             )
         elif isinstance(target, AllOf):
             self._wait_all(target.children, epoch)
-        elif isinstance(target, AnyOf):
-            self._wait_any(target.children, epoch)
         else:
             raise SimulationError(f"process {self.name!r} yielded unsupported {target!r}")
 
@@ -210,47 +188,25 @@ class Process:
             event = child.done if isinstance(child, Process) else child
             event.add_callback(lambda ev, i=index: on_done(i, ev))
 
-    def _wait_any(self, children, epoch):
-        delivered = [False]
-
-        def on_fire(ev):
-            if delivered[0]:
-                return
-            delivered[0] = True
-            self.sim._schedule_now(
-                lambda _arg: self._resume(epoch, ev.failed, ev.value), None
-            )
-
-        for child in children:
-            event = child.done if isinstance(child, Process) else child
-            event.add_callback(on_fire)
-
 
 class Simulator:
     def __init__(self):
         self._now = 0
         self._seq = 0
         self._queue = []
-        self._live = set()
 
     @property
     def now(self):
         return self._now
 
-    def blocked_processes(self):
-        return sorted((p.name, p.waiting_on()) for p in self._live)
-
     def _queued_events(self):
         return len(self._queue)
 
     def snapshot(self, events_processed=0):
-        blocked = self.blocked_processes()
         return {
             "time_ps": self._now,
             "events_processed": events_processed,
             "queue_depth": self._queued_events(),
-            "live_processes": len(blocked),
-            "blocked": blocked[:16],
         }
 
     def event(self, name=""):
@@ -274,14 +230,6 @@ class Simulator:
         self._seq += 1
         heapq.heappush(self._queue, (self._now, self._seq, callback, arg))
 
-    def process(self, gen, name=""):
-        return Process(self, gen, name=name)
-
-    def timeout(self, delay, value=None):
-        event = SimEvent(self, name="timeout")
-        self.schedule(delay, event.succeed, value)
-        return event
-
     def run(self, until=None, max_events=None, watchdog=None):
         processed = 0
         check_every = (
@@ -302,16 +250,6 @@ class Simulator:
             processed += 1
             if check_every and processed % check_every == 0:
                 watchdog.check(self, processed)
-        if watchdog is not None and watchdog.detect_deadlock and not queue:
-            blocked = self.blocked_processes()
-            if blocked:
-                detail = "; ".join(f"{name} <- {wait}" for name, wait in blocked[:8])
-                raise DeadlockError(
-                    f"event queue drained at t={self._now}ps with "
-                    f"{len(blocked)} blocked process(es): {detail}",
-                    blocked=blocked,
-                    time_ps=self._now,
-                )
         if until is not None and until > self._now:
             self._now = until
         return self._now
@@ -321,23 +259,28 @@ class _Referee:
     """Namespace with the same names the programs use from a kernel."""
 
     Simulator = Simulator
+    Process = Process
     AllOf = AllOf
-    AnyOf = AnyOf
+    Join = Join
 
 
-KERNELS = {"lane": lane_kernel, "referee": _Referee}
+class _Lane:
+    """The engine, with generator processes from :mod:`tests.genproc`."""
+
+    Simulator = engine.Simulator
+    Process = genproc.Process
+    AllOf = genproc.AllOf
+    Join = engine.Join
+
+
+KERNELS = {"lane": _Lane, "referee": _Referee}
 
 # -- seeded random process programs -------------------------------------------------
 
 
-class Interrupted(Exception):
-    pass
-
-
 OPS = (
     "sleep", "sched", "at_now", "at", "event", "wait_event", "spawn", "then", "plain",
-    "shared",
-    "wait_proc", "allof", "anyof", "interrupt", "fire", "raise",
+    "shared", "wait_proc", "allof", "join", "fire", "raise",
 )
 
 
@@ -358,15 +301,12 @@ def make_program(rng, depth, chaos):
         elif op == "shared":
             fails = chaos and rng.random() < 0.4
             steps.append(("shared", rng.choice((0, 1, 4)), fails, rng.random() < 0.5))
-        elif op in ("wait_event", "wait_proc", "interrupt", "fire", "then", "plain"):
+        elif op in ("wait_event", "wait_proc", "fire", "then", "plain"):
             steps.append((op, rng.randrange(64)))
         elif op == "spawn" and depth < 2:
             steps.append(("spawn", make_program(rng, depth + 1, chaos)))
-        elif op == "allof":
-            steps.append(("allof", [rng.randrange(64) for _ in range(rng.randint(0, 3))]))
-        elif op == "anyof":
-            picks = [rng.randrange(64) for _ in range(rng.randint(1, 3))]
-            steps.append(("anyof", picks, rng.choice((0, 2, 5))))
+        elif op in ("allof", "join"):
+            steps.append((op, [rng.randrange(64) for _ in range(rng.randint(0, 3))]))
         elif op == "raise" and chaos:
             steps.append(("raise",))
     return steps
@@ -391,8 +331,8 @@ class World:
         self.abort_at = rng.choice((None, 2, 5))
         #: how often the rarer paths were hit (coverage only, not logged)
         self.seen = dict.fromkeys(
-            ("fired_wait", "finished_wait", "mid_lane_check", "lane_at_deadlock_check",
-             "fired_then", "failed_then", "shared_event"), 0
+            ("fired_wait", "finished_wait", "mid_lane_check", "lane_behind_horizon",
+             "fired_then", "failed_then", "shared_event", "pending_join"), 0
         )
         #: event index -> kinds registered on it while untriggered
         self.kinds = {}
@@ -413,9 +353,13 @@ class World:
         self.seen["failed_then"] += event.failed
         self.log.append((self.sim.now, "then", tag, event.failed, repr(event.value)))
 
+    def joined(self, tag):
+        """A ``Join`` step: logs when its last branch counted down."""
+        self.log.append((self.sim.now, "join", tag))
+
     def spawn(self, steps):
         pid = f"p{len(self.procs)}"
-        self.procs.append(self.sim.process(self.body(pid, steps), name=pid))
+        self.procs.append(self.kernel.Process(self.sim, self.body(pid, steps), name=pid))
 
     def fire(self, index, fail):
         event = self.events[index]
@@ -498,12 +442,17 @@ class World:
                     outcome = yield target
                 elif op == "allof":
                     outcome = yield kernel.AllOf([self.pool(i) for i in step[1]])
-                elif op == "anyof":
-                    children = [self.pool(i) for i in step[1]]
-                    outcome = yield kernel.AnyOf(children + [sim.timeout(step[2], "t/o")])
-                elif op == "interrupt":
-                    target = self.procs[step[1] % len(self.procs)]
-                    target.interrupt(Interrupted(f"{pid} interrupts {target.name}"))
+                elif op == "join":
+                    # a chain's fork: one hold, then each branch counts down
+                    events = [
+                        child.done if isinstance(child, kernel.Process) else child
+                        for child in map(self.pool, step[1])
+                    ]
+                    self.seen["pending_join"] += any(not e.triggered for e in events)
+                    join = kernel.Join(sim, len(events) + 1, self.joined, f"{pid}.{n}")
+                    for event in events:
+                        event.add_callback(join.ok)
+                    join.ok()
                 elif op == "fire" and self.events:
                     self.fire(step[1] % len(self.events), False)
             except Exception as exc:
@@ -529,7 +478,6 @@ class World:
             "now": self.sim.now,
             "seq": self.sim._seq,
             "queued": self.sim._queued_events(),
-            "blocked": self.sim.blocked_processes(),
             "procs": [(p.finished, repr(p.value)) for p in self.procs],
             "events": [(e.triggered, e.failed, repr(e.value)) for e in self.events],
         }
@@ -558,14 +506,12 @@ def drive(kernel, seed):
     for horizon in world.horizons:
         world.run(watchdog, until=horizon)
         if world.sim.now > 0:
-            # until < now: nothing may run, and pending work (lane
-            # included) means no deadlock either
-            world.seen["lane_at_deadlock_check"] += bool(getattr(world.sim, "_lane", None))
-            world.run(StallWatchdog(detect_deadlock=True), until=world.sim.now - 1)
+            # until < now: nothing may run, lane included
+            world.seen["lane_behind_horizon"] += bool(getattr(world.sim, "_lane", None))
+            world.run(until=world.sim.now - 1)
     for _ in range(64):  # resume after every escaping failure
         if world.run(watchdog):
             break
-    world.run(StallWatchdog(detect_deadlock=True))
     return world.outcome(), world.seen
 
 
@@ -592,16 +538,16 @@ def test_programs_reach_the_interesting_paths():
                 kinds.add(entry[0])
             elif entry[0] == "raised":
                 kinds.add(entry[1])
-            elif entry[1] == "cb":
-                kinds.add("cb")
+            elif entry[1] in ("cb", "join"):
+                kinds.add(entry[1])
             elif isinstance(entry[4], tuple) and entry[4][0] == "exc":
                 kinds.add(("exc", entry[4][1]))
     # waits on fired events and finished processes, watchdog checks with
-    # same-time work pending, and deadlock checks with the lane non-empty
+    # same-time work pending, past horizons with the lane non-empty, and
+    # joins that waited on a branch
     assert all(count > 0 for count in seen_total.values()), seen_total
-    assert {"check", "ran", "cb"} <= kinds
-    assert {"DeadlockError", "SimStallError", "ValueError"} <= kinds
-    assert {("exc", "Interrupted"), ("exc", "ValueError")} <= kinds
+    assert {"check", "ran", "cb", "join"} <= kinds
+    assert {"SimStallError", "ValueError", ("exc", "ValueError")} <= kinds
 
 
 @pytest.mark.parametrize("seed", range(12))

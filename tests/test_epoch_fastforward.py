@@ -15,9 +15,10 @@ import json
 
 import pytest
 
-from repro.errors import DeadlockError, SimulationError
+from repro.errors import SimulationError
 from repro.experiments.runner import RunSpec, execute_spec
-from repro.sim import AllOf, AnyOf, BandwidthResource, Simulator, StallWatchdog
+from repro.sim import BandwidthResource, Simulator
+from tests.genproc import AllOf, Process
 
 
 def _sha(text):
@@ -35,8 +36,9 @@ PROBE_EVENTS = 186
 def _probe_sim():
     """A scenario crossing every scheduling path: serialised link
     completions, plain timers, out-of-order absolute timers, zero-delay
-    and at-now callbacks, processes joined through AnyOf/AllOf, a wait on
-    an already-finished process, and a zero-length sleep."""
+    and at-now callbacks, generator processes (tests/genproc.py) joined
+    through a first-of event and an AllOf, a wait on an already-finished
+    process, and a zero-length sleep."""
     sim = Simulator()
     log = []
 
@@ -51,8 +53,8 @@ def _probe_sim():
             note(f"{tag}:{i}")
         return tag
 
-    wa = sim.process(worker(25, 256, "wa"), name="wa")
-    wb = sim.process(worker(25, 192, "wb"), name="wb")
+    wa = Process(sim, worker(25, 256, "wa"), name="wa")
+    wb = Process(sim, worker(25, 192, "wb"), name="wb")
 
     def chain(depth):
         note(f"chain:{depth}")
@@ -72,7 +74,17 @@ def _probe_sim():
         sim.at(9_000 + 17_000 * i, note, f"at:{i}")
 
     def joiner():
-        first = yield AnyOf([wa, sim.timeout(50_000, "timeout")])
+        timeout = sim.event("timeout")
+        sim.schedule(50_000, timeout.succeed, "timeout")
+        first_of = sim.event("first-of")
+
+        def fire_first(event):
+            if not first_of.triggered:
+                first_of.succeed(event.value)
+
+        for child in (wa.done, timeout):
+            child.add_callback(fire_first)
+        first = yield first_of
         note(f"any:{first}")
         both = yield AllOf([wa, wb])
         note(f"all:{both}")
@@ -81,7 +93,7 @@ def _probe_sim():
         yield 0
         note("slept0")
 
-    sim.process(joiner(), name="joiner")
+    Process(sim, joiner(), name="joiner")
     return sim, log
 
 
@@ -119,23 +131,6 @@ def test_max_events_budget_parity():
         sim.run(max_events=PROBE_EVENTS - 1)
     sim.run()
     assert _sha(repr(log)) == PROBE_LOG_SHA
-
-
-def test_deadlock_detection_parity():
-    sim = Simulator()
-    never = sim.event(name="never")
-
-    def waiter():
-        yield never
-
-    sim.process(waiter(), name="stuck")
-    sim.schedule(1_000, lambda _arg: None)
-    with pytest.raises(DeadlockError) as excinfo:
-        sim.run(watchdog=StallWatchdog(detect_deadlock=True))
-    assert str(excinfo.value) == (
-        "event queue drained at t=1000ps with 1 blocked process(es): "
-        "stuck <- event 'never'"
-    )
 
 
 def test_non_monotone_timers_preserve_global_order():

@@ -7,7 +7,7 @@ barrier service's arrivals and releases, the two interrupt-driven polling
 notices, both cores' page migrations and the disaggregated inter-blade
 transfer.  The referees below are the generator processes they replaced,
 kept verbatim as subclasses that :func:`_as_reference` swaps into a built
-system.
+system; they run on :mod:`tests.genproc`.
 
 Twin systems — one with every reference swapped in — run the same seeded
 programs on 8D-4C and 12D-4C: local and remote reads and writes of 8 B to
@@ -56,10 +56,11 @@ from repro.nmp import system as nmp_system
 from repro.nmp.core import NMPCore
 from repro.nmp.system import NMPSystem
 from repro.protocol.packet import wire_bytes_for_transfer
-from repro.sim.engine import AllOf, SimEvent, Simulator
+from repro.sim.engine import SimEvent, Simulator
 from repro.sim.time import ns
 from repro.trace import TraceRecorder
 from repro.workloads.ops import Barrier, Broadcast, Compute, Flush, Read, Write
+from tests.genproc import AllOf, Process
 
 # -- referees: the generator processes ----------------------------------------------
 
@@ -79,8 +80,8 @@ class RefPacketNetwork(PacketNetwork):
             self.sim.schedule(0, event.succeed, wire_bytes)
             return event
         done = self.sim.event(name=self._n_send)
-        self.sim.process(
-            self._route_proc(src, dst, wire_bytes, done), name=self._n_route
+        Process(
+            self.sim, self._route_proc(src, dst, wire_bytes, done), name=self._n_route
         )
         return done
 
@@ -184,8 +185,8 @@ class RefPacketNetwork(PacketNetwork):
             self.sim.schedule(0, event.succeed, wire_bytes)
             return event
         done = self.sim.event(name=self._n_stream)
-        self.sim.process(
-            self._stream_proc(src, dst, wire_bytes, done),
+        Process(
+            self.sim, self._stream_proc(src, dst, wire_bytes, done),
             name=self._n_stream_route,
         )
         return done
@@ -304,7 +305,7 @@ class RefPacketNetwork(PacketNetwork):
         for parent, child in tree:
             arrival.setdefault(child, self.sim.event())
             children.append(
-                self.sim.process(forward(parent, child), name=self._n_bc)
+                Process(self.sim, forward(parent, child), name=self._n_bc)
             )
 
         trace = self.sim.trace
@@ -332,7 +333,7 @@ class RefPacketNetwork(PacketNetwork):
             trace.end(span, status="delivered")
             done.succeed(wire_bytes)
 
-        self.sim.process(finish(), name=self._n_bc_finish)
+        Process(self.sim, finish(), name=self._n_bc_finish)
         return done
 
 
@@ -363,13 +364,13 @@ class RefDIMMLinkIDC(DIMMLinkIDC):
         system = self._require_system()
         done = self.sim.event(name="dl.read")
         if self.bridge.same_group(src_dimm, dst_dimm):
-            self.sim.process(
-                self._intra_read(src_dimm, dst_dimm, offset, nbytes, done),
+            Process(
+                self.sim, self._intra_read(src_dimm, dst_dimm, offset, nbytes, done),
                 name="dl.read",
             )
         else:
-            self.sim.process(
-                self._inter_read(system, src_dimm, dst_dimm, offset, nbytes, done),
+            Process(
+                self.sim, self._inter_read(system, src_dimm, dst_dimm, offset, nbytes, done),
                 name="dl.read.fwd",
             )
         self.trace_op(done, "remote_read", src=src_dimm, dst=dst_dimm, bytes=nbytes)
@@ -423,13 +424,13 @@ class RefDIMMLinkIDC(DIMMLinkIDC):
         system = self._require_system()
         done = self.sim.event(name="dl.write")
         if self.bridge.same_group(src_dimm, dst_dimm):
-            self.sim.process(
-                self._intra_write(src_dimm, dst_dimm, offset, nbytes, done),
+            Process(
+                self.sim, self._intra_write(src_dimm, dst_dimm, offset, nbytes, done),
                 name="dl.write",
             )
         else:
-            self.sim.process(
-                self._inter_write(system, src_dimm, dst_dimm, offset, nbytes, done),
+            Process(
+                self.sim, self._inter_write(system, src_dimm, dst_dimm, offset, nbytes, done),
                 name="dl.write.fwd",
             )
         self.trace_op(done, "remote_write", src=src_dimm, dst=dst_dimm, bytes=nbytes)
@@ -470,8 +471,8 @@ class RefDIMMLinkIDC(DIMMLinkIDC):
     def broadcast(self, src_dimm, offset, nbytes) -> SimEvent:
         system = self._require_system()
         done = self.sim.event(name="dl.broadcast")
-        self.sim.process(
-            self._broadcast(system, src_dimm, offset, nbytes, done), name="dl.bc"
+        Process(
+            self.sim, self._broadcast(system, src_dimm, offset, nbytes, done), name="dl.bc"
         )
         self.trace_op(done, "broadcast", src=src_dimm, bytes=nbytes)
         return done
@@ -501,7 +502,7 @@ class RefDIMMLinkIDC(DIMMLinkIDC):
 
             yield AllOf(
                 [
-                    self.sim.process(to_peer(peer, index == 0), name="dl.bc.fb")
+                    Process(self.sim, to_peer(peer, index == 0), name="dl.bc.fb")
                     for index, peer in enumerate(peers)
                 ]
             )
@@ -516,8 +517,8 @@ class RefDIMMLinkIDC(DIMMLinkIDC):
         yield self.controllers[src].packetize_ps
         wire = self.controllers[src].packetize(nbytes)
         branches = [
-            self.sim.process(
-                self._flood_group(system, src, offset, nbytes), name="dl.bc.home"
+            Process(
+                self.sim, self._flood_group(system, src, offset, nbytes), name="dl.bc.home"
             )
         ]
         gateways = [
@@ -539,7 +540,7 @@ class RefDIMMLinkIDC(DIMMLinkIDC):
 
         for index, gateway in enumerate(gateways):
             branches.append(
-                self.sim.process(to_group(gateway, index == 0), name="dl.bc.fwd")
+                Process(self.sim, to_group(gateway, index == 0), name="dl.bc.fwd")
             )
         yield AllOf(branches)
         self.stats.add("idc.broadcast_ops")
@@ -573,7 +574,7 @@ class RefDIMMLinkIDC(DIMMLinkIDC):
             self.stats.add("idc.messages")
             done.succeed(nbytes)
 
-        self.sim.process(proc(), name="dl.msg")
+        Process(self.sim, proc(), name="dl.msg")
         return done
 
 
@@ -592,7 +593,7 @@ class RefCPUForwardingIDC(CPUForwardingIDC):
             self.stats.add("idc.forwarded_bytes", nbytes)
             done.succeed(nbytes)
 
-        self.sim.process(proc(), name="mcn.read")
+        Process(self.sim, proc(), name="mcn.read")
         return done
 
     def remote_write(self, src_dimm, dst_dimm, offset, nbytes) -> SimEvent:
@@ -606,7 +607,7 @@ class RefCPUForwardingIDC(CPUForwardingIDC):
             self.stats.add("idc.forwarded_bytes", nbytes)
             done.succeed(nbytes)
 
-        self.sim.process(proc(), name="mcn.write")
+        Process(self.sim, proc(), name="mcn.write")
         return done
 
     def broadcast(self, src_dimm, offset, nbytes) -> SimEvent:
@@ -631,7 +632,7 @@ class RefCPUForwardingIDC(CPUForwardingIDC):
                 self.stats.add("idc.forwarded_bytes", nbytes)
 
             deliveries = [
-                self.sim.process(deliver(dst), name="mcn.bc.deliver")
+                Process(self.sim, deliver(dst), name="mcn.bc.deliver")
                 for dst in range(config.num_dimms)
                 if dst != src_dimm
             ]
@@ -639,7 +640,7 @@ class RefCPUForwardingIDC(CPUForwardingIDC):
             self.stats.add("idc.broadcast_ops")
             done.succeed(nbytes)
 
-        self.sim.process(proc(), name="mcn.bc")
+        Process(self.sim, proc(), name="mcn.bc")
         return done
 
     def message(self, src_dimm, dst_dimm, nbytes, expected: bool = False) -> SimEvent:
@@ -656,7 +657,7 @@ class RefCPUForwardingIDC(CPUForwardingIDC):
             self.stats.add("idc.messages")
             done.succeed(nbytes)
 
-        self.sim.process(proc(), name="mcn.msg")
+        Process(self.sim, proc(), name="mcn.msg")
         return done
 
 
@@ -701,12 +702,12 @@ class RefIntraChannelBroadcastIDC(RefCPUForwardingIDC):
                 yield AllOf(stores)
 
             branches = [
-                self.sim.process(same_channel_store(dst), name="abc.bc.local")
+                Process(self.sim, same_channel_store(dst), name="abc.bc.local")
                 for dst in config.dimms_on_channel(src_channel_id)
                 if dst != src_dimm
             ]
             branches.extend(
-                self.sim.process(other_channel(ch), name="abc.bc.fwd")
+                Process(self.sim, other_channel(ch), name="abc.bc.fwd")
                 for ch in range(config.num_channels)
                 if ch != src_channel_id
             )
@@ -714,7 +715,7 @@ class RefIntraChannelBroadcastIDC(RefCPUForwardingIDC):
             self.stats.add("idc.broadcast_ops")
             done.succeed(nbytes)
 
-        self.sim.process(proc(), name="abc.bc")
+        Process(self.sim, proc(), name="abc.bc")
         return done
 
 
@@ -733,7 +734,7 @@ class RefDedicatedBusIDC(DedicatedBusIDC):
             self.stats.add("idc.bus_payload_bytes", nbytes)
             done.succeed(nbytes)
 
-        self.sim.process(proc(), name="aim.read")
+        Process(self.sim, proc(), name="aim.read")
         return done
 
     def remote_write(self, src_dimm, dst_dimm, offset, nbytes) -> SimEvent:
@@ -746,7 +747,7 @@ class RefDedicatedBusIDC(DedicatedBusIDC):
             self.stats.add("idc.bus_payload_bytes", nbytes)
             done.succeed(nbytes)
 
-        self.sim.process(proc(), name="aim.write")
+        Process(self.sim, proc(), name="aim.write")
         return done
 
     def broadcast(self, src_dimm, offset, nbytes) -> SimEvent:
@@ -768,7 +769,7 @@ class RefDedicatedBusIDC(DedicatedBusIDC):
             self.stats.add("idc.broadcast_ops")
             done.succeed(nbytes)
 
-        self.sim.process(proc(), name="aim.bc")
+        Process(self.sim, proc(), name="aim.bc")
         return done
 
     def message(self, src_dimm, dst_dimm, nbytes, expected: bool = False) -> SimEvent:
@@ -779,7 +780,7 @@ class RefDedicatedBusIDC(DedicatedBusIDC):
             self.stats.add("idc.messages")
             done.succeed(nbytes)
 
-        self.sim.process(proc(), name="aim.msg")
+        Process(self.sim, proc(), name="aim.msg")
         return done
 
 
@@ -796,8 +797,8 @@ class RefSyncManager(SyncManager):
         home = self._thread_homes[thread_id]
         event = self.sim.event(name=f"barrier.g{generation}.t{thread_id}")
         state.waiters[home].append(event)
-        self.sim.process(
-            self._arrival(state, generation, home), name=f"sync.arrive.{thread_id}"
+        Process(
+            self.sim, self._arrival(state, generation, home), name=f"sync.arrive.{thread_id}"
         )
         return event
 
@@ -846,8 +847,8 @@ class RefSyncManager(SyncManager):
         state.released = True
         self.stats.add("sync.barriers")
         for dimm in state.waiters:
-            self.sim.process(
-                self._release_dimm(state, dimm, via=self.global_master),
+            Process(
+                self.sim, self._release_dimm(state, dimm, via=self.global_master),
                 name=f"sync.release.g{generation}.d{dimm}",
             )
 
@@ -855,8 +856,8 @@ class RefSyncManager(SyncManager):
         state.released = True
         self.stats.add("sync.barriers")
         for group, _count in self._dimms_per_group.items():
-            self.sim.process(
-                self._release_group(state, group),
+            Process(
+                self.sim, self._release_group(state, group),
                 name=f"sync.release.g{generation}.grp{group}",
             )
 
@@ -872,8 +873,8 @@ class RefSyncManager(SyncManager):
             )
         for dimm in state.waiters:
             if self.config.group_of(dimm) == group:
-                self.sim.process(
-                    self._release_dimm(state, dimm, via=group_master),
+                Process(
+                    self.sim, self._release_dimm(state, dimm, via=group_master),
                     name=f"sync.release.d{dimm}",
                 )
 
@@ -908,7 +909,7 @@ class RefInterruptPolling(InterruptPolling):
                 )
             done.succeed(None)
 
-        self.sim.process(proc(), name="poll.interrupt")
+        Process(self.sim, proc(), name="poll.interrupt")
         return done
 
 
@@ -931,7 +932,7 @@ class RefProxyInterruptPolling(ProxyInterruptPolling):
                 )
             done.succeed(None)
 
-        self.sim.process(proc(), name="poll.proxy_interrupt")
+        Process(self.sim, proc(), name="poll.proxy_interrupt")
         return done
 
 
@@ -974,7 +975,7 @@ class RefNMPCore(NMPCore):
             yield self.mc.submit(target, op.offset, op.nbytes, is_write)
             done.succeed(op.nbytes)
 
-        self.sim.process(proc(), name=f"{self.name}.migrate")
+        Process(self.sim, proc(), name=f"{self.name}.migrate")
         return done
 
 
@@ -1010,7 +1011,7 @@ class RefHostCore(HostCore):
             yield self.system.memory_request(target, op.offset, op.nbytes, is_write)
             done.succeed(op.nbytes)
 
-        self.sim.process(proc(), name=f"{self.name}.migrate")
+        Process(self.sim, proc(), name=f"{self.name}.migrate")
         return done
 
 
@@ -1031,8 +1032,8 @@ class RefDisaggregatedMemory(DisaggregatedMemory):
                 src_local, dst_local, 0, nbytes
             )
         done = self.sim.event(name="disagg.transfer")
-        self.sim.process(
-            self._inter_blade(src_blade, src_local, dst_blade, dst_local, nbytes, done),
+        Process(
+            self.sim, self._inter_blade(src_blade, src_local, dst_blade, dst_local, nbytes, done),
             name="disagg.xfer",
         )
         return done

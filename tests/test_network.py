@@ -7,6 +7,14 @@ from repro.interconnect.network import MAX_BACKOFF_PS, RETRY_PENALTY_PS, PacketN
 from repro.interconnect.topology import Topology
 from repro.sim import Simulator, StatRegistry
 from repro.sim.time import ns
+from tests.genproc import Process
+
+
+def _run_sender(sim, gen):
+    """Run the sender generator (tests/genproc.py) to its end."""
+    sender = Process(sim, gen, name="sender")
+    sim.run()
+    assert sender.finished
 
 
 def _network(name="half_ring", n=4, gbps=25.0, hop=ns(10), wire=ns(2)):
@@ -145,7 +153,7 @@ def test_dead_link_detected_by_watchdog_then_rerouted():
             except LinkFailure:
                 pass
 
-    sim.run_process(sender())
+    _run_sender(sim, sender())
     # the watchdog needed consecutive ACK silences to declare the link
     # dead, then routing swung the long way around the ring
     assert stats.get("dl.ack_timeouts") > 0
@@ -167,7 +175,7 @@ def test_partitioned_chain_fails_the_send_event():
             except LinkFailure:
                 outcomes.append("failed")
 
-    sim.run_process(sender())
+    _run_sender(sim, sender())
     # a chain has no alternative route: every send eventually fails, the
     # early ones by retry exhaustion, later ones instantly (marked down)
     assert set(outcomes) == {"failed"}
@@ -198,7 +206,7 @@ def test_stream_retries_over_restored_route():
         except LinkFailure:
             results.append("failed")
 
-    sim.run_process(sender())
+    _run_sender(sim, sender())
     # the stream's retry loop reports timeouts until the watchdog flips
     # the link, then the recomputed path delivers the train
     assert results == [8192]
@@ -222,7 +230,7 @@ def test_broadcast_fails_over_partition():
         except LinkFailure:
             outcome.append("failed")
 
-    sim.run_process(sender())
+    _run_sender(sim, sender())
     assert outcome == ["failed"]
 
 

@@ -4,7 +4,7 @@ Three per-request servers run as callback chains, one callback per
 simulator slot: the NMP local memory controller (``submit``), the host
 forwarding controller (``forward``) and the CPU baseline's
 ``memory_request``.  The referees below are the generator processes they
-replaced, kept verbatim.  Twin systems — one with the references swapped
+replaced, kept verbatim and run on :mod:`tests.genproc`.  Twin systems — one with the references swapped
 in — run the same seeded request streams (more than 64 requests in
 flight on one DIMM, same-timestamp bursts from several cores, remote
 reads and writes, every polling strategy); per-request completion times,
@@ -34,6 +34,7 @@ from repro.sim import StatRegistry
 from repro.sim.engine import Simulator
 from repro.trace import TraceRecorder
 from repro.workloads.ops import Barrier, Compute, Flush, Read, Write
+from tests.genproc import Process
 
 # -- referees: the generator servers -------------------------------------------------
 
@@ -41,8 +42,8 @@ from repro.workloads.ops import Barrier, Compute, Flush, Read, Write
 def reference_submit(mc, target_dimm, offset, nbytes, is_write):
     """``LocalMemoryController.submit`` as a per-request process."""
     done = mc.sim.event(name=f"dimm{mc.dimm_id}.mc")
-    mc.sim.process(
-        _serve(mc, target_dimm, offset, nbytes, is_write, done),
+    Process(
+        mc.sim, _serve(mc, target_dimm, offset, nbytes, is_write, done),
         name=f"dimm{mc.dimm_id}.mc",
     )
     return done
@@ -70,8 +71,8 @@ def _serve(mc, target_dimm, offset, nbytes, is_write, done):
 def reference_forward(fwd, src_dimm, dst_dimm, wire_bytes, notice_dimm=None):
     """``ForwardController.forward`` as a per-forward process."""
     done = fwd.sim.event(name="host.fwd")
-    fwd.sim.process(
-        _forward_proc(fwd, src_dimm, dst_dimm, wire_bytes, notice_dimm, done),
+    Process(
+        fwd.sim, _forward_proc(fwd, src_dimm, dst_dimm, wire_bytes, notice_dimm, done),
         name="host.fwd",
     )
     return done
@@ -112,7 +113,7 @@ def reference_memory_request(system, dimm, offset, nbytes, is_write):
         yield dram.access(offset, nbytes, is_write)
         done.succeed(nbytes)
 
-    system.sim.process(proc(), name="cpu.mem")
+    Process(system.sim, proc(), name="cpu.mem")
     return done
 
 

@@ -172,6 +172,7 @@ def _entry_with_string_histogram_min() -> bytes:
         b"not json at all",
         b'{"unexpected": "schema"}',  # valid JSON, wrong shape
         b'{"result": {"time_ps": "NaNish"}}',  # schema half-right
+        pytest.param(b"\x00\xff" * 64, id="not-utf8"),
         pytest.param(  # right key and version, one wrong field type
             _entry_with_string_histogram_min(), id="histogram-min-is-a-string"
         ),

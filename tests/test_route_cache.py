@@ -13,6 +13,7 @@ from repro.errors import LinkFailure
 from repro.interconnect.network import PacketNetwork
 from repro.interconnect.topology import Topology
 from repro.sim import Simulator, StatRegistry
+from tests.genproc import Process
 
 
 def cold_topology(name, n, down_edges):
@@ -110,7 +111,7 @@ def test_watchdog_link_down_mid_run_reroutes_like_cold():
                 log["failures"] += 1
         assert topo.link_up(1, 2) is False
 
-    sim.process(driver(), name="driver")
+    Process(sim, driver(), name="driver")
     sim.run()
     assert log["failures"] + log["delivered"] >= 1
     assert topo.route_recomputes == 1
@@ -139,7 +140,7 @@ def test_stream_reroutes_after_watchdog_flip():
         yield net.stream(0, 2, 2048)  # must take [0, 5, 4, 3, 2]
         outcome["path"] = topo.path(0, 2)
 
-    sim.process(driver(), name="driver")
+    Process(sim, driver(), name="driver")
     sim.run()
     assert outcome["path"] == [0, 5, 4, 3, 2]
     assert_matches_cold(topo, [(0, 1)])

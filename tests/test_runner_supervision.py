@@ -2,16 +2,19 @@
 per-spec timeouts with engine diagnosis, pool respawn, serial
 degradation, and KeyboardInterrupt flush semantics."""
 
+import itertools
 import multiprocessing
 import os
 import time
 
 import pytest
 
+from repro.config import SystemConfig
 from repro.errors import SweepExecutionError
 from repro.experiments.runner import DeadLetter, RunSpec, SweepRunner
+from repro.nmp.system import NMPSystem
 from repro.results_cache import ResultsCache
-from repro.sim.engine import Simulator
+from repro.workloads.ops import Compute
 from tests.test_results_cache import fake_result
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
@@ -68,14 +71,9 @@ def sleepy_execute(spec):
 
 def stuck_sim_execute(spec):
     if spec.seed == BAD_SEED:
-        sim = Simulator()
-
-        def spin():
-            while True:
-                yield 1  # livelock: the event queue never drains
-
-        sim.process(spin(), name="spinner")
-        sim.run()  # the armed StallWatchdog must cut this off
+        # livelock: the kernel's one thread computes forever, so the event
+        # queue never drains; the armed StallWatchdog must cut this off
+        NMPSystem(SystemConfig.named("4D-2C")).run([lambda: itertools.repeat(Compute(100))])
     return fake_result(spec)
 
 
@@ -233,7 +231,7 @@ def test_timeout_inside_simulator_reports_blocked_processes(tmp_path):
     letter = runner.dead_letters[0]
     assert "SimStallError" in letter.error
     assert "stalled at" in letter.diagnosis
-    assert "spinner" in letter.diagnosis  # names the hung process
+    assert "dimm0.core0.t0 <- delay " in letter.diagnosis  # names the hung thread
 
 
 # -- worker crashes: respawn and degradation -----------------------------------------

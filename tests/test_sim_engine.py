@@ -1,10 +1,42 @@
-"""Tests for the discrete-event engine (repro.sim.engine)."""
+"""Tests for the discrete-event engine (repro.sim.engine), and for the
+generator runtime the referee tests run on (tests/genproc.py)."""
+
+import itertools
 
 import pytest
 
-from repro.errors import SimulationError
-from repro.sim import AllOf, AnyOf, Join, Simulator
+from repro.errors import DeadlockError, SimulationError
+from repro.nmp.executor import ThreadExecutor, run_threads
+from repro.sim import Join, Simulator, StatRegistry
 from repro.sim.time import ns
+from repro.workloads.ops import Barrier, Compute, Flush, Read
+from tests.genproc import AllOf, Process
+
+
+class _Core(ThreadExecutor):
+    """Accesses complete after 1 ns; broadcasts and barriers never do."""
+
+    def __init__(self, sim, name="core"):
+        super().__init__(sim, freq_ghz=1.0, window=2, stats=StatRegistry(), name=name)
+
+    def memory_access(self, op):
+        done = self.sim.event("core.mem")
+        self.sim.schedule(ns(1), done.succeed, op.nbytes)
+        return done, False
+
+    def broadcast(self, op):
+        return self.sim.event("core.broadcast")
+
+    def barrier(self, thread_id):
+        return self.sim.event("core.barrier")
+
+
+def _run_process(sim, gen, name=""):
+    """Run ``gen`` as a process to its end; its return value."""
+    handle = Process(sim, gen, name=name)
+    sim.run()
+    assert handle.finished
+    return handle.value
 
 
 def test_schedule_order_is_time_then_fifo():
@@ -75,7 +107,7 @@ def test_process_sleep_and_return_value():
         yield 25
         return "done"
 
-    assert sim.run_process(proc()) == "done"
+    assert _run_process(sim, proc()) == "done"
     assert sim.now == 50
 
 
@@ -88,7 +120,7 @@ def test_process_waits_on_event_and_receives_value():
         value = yield gate
         return value
 
-    assert sim.run_process(proc()) == 42
+    assert _run_process(sim, proc()) == 42
     assert sim.now == 30
 
 
@@ -100,10 +132,10 @@ def test_process_waits_on_other_process():
         return "child-value"
 
     def parent():
-        value = yield sim.process(child())
+        value = yield Process(sim, child())
         return value
 
-    assert sim.run_process(parent()) == "child-value"
+    assert _run_process(sim, parent()) == "child-value"
 
 
 def test_allof_waits_for_every_child():
@@ -114,11 +146,11 @@ def test_allof_waits_for_every_child():
         return tag
 
     def parent():
-        procs = [sim.process(child(d, i)) for i, d in enumerate([30, 10, 20])]
+        procs = [Process(sim, child(d, i)) for i, d in enumerate([30, 10, 20])]
         results = yield AllOf(procs)
         return results
 
-    assert sim.run_process(parent()) == [0, 1, 2]
+    assert _run_process(sim, parent()) == [0, 1, 2]
     assert sim.now == 30
 
 
@@ -129,7 +161,7 @@ def test_allof_empty_resumes_immediately():
         results = yield AllOf([])
         return results
 
-    assert sim.run_process(parent()) == []
+    assert _run_process(sim, parent()) == []
 
 
 def test_event_double_succeed_raises():
@@ -149,18 +181,7 @@ def test_yield_on_already_triggered_event():
         value = yield event
         return value
 
-    assert sim.run_process(proc()) == "early"
-
-
-def test_timeout_event_value():
-    sim = Simulator()
-
-    def proc():
-        value = yield sim.timeout(15, value="tick")
-        return value
-
-    assert sim.run_process(proc()) == "tick"
-    assert sim.now == 15
+    assert _run_process(sim, proc()) == "early"
 
 
 def test_max_events_guard():
@@ -175,20 +196,16 @@ def test_max_events_guard():
 
 
 def test_deadlocked_process_detected():
+    # a thread whose barrier never releases is still live when the queue
+    # drains: run_threads names it, and what it waits on
     sim = Simulator()
-
-    def proc():
-        yield sim.event("never")
-
-    proc_handle = sim.process(proc())
-    sim.run()
-    assert not proc_handle.finished
-    with pytest.raises(SimulationError):
-        sim.run_process(iter([sim.event("never2")].__iter__()) if False else _stuck(sim))
-
-
-def _stuck(sim):
-    yield sim.event("never3")
+    placed = [(_Core(sim, "a"), [Compute(3), Barrier()]), (_Core(sim, "b"), [Compute(1)])]
+    with pytest.raises(DeadlockError) as excinfo:
+        run_threads(sim, placed)
+    err = excinfo.value
+    assert "stuck threads: ['a.t0']" in str(err)
+    assert err.blocked == [("a.t0", "event 'core.barrier'")]
+    assert err.time_ps == ns(3)
 
 
 def test_yielding_garbage_raises():
@@ -197,12 +214,12 @@ def test_yielding_garbage_raises():
     def proc():
         yield "not-a-waitable"
 
-    sim.process(proc())
+    Process(sim, proc())
     with pytest.raises(SimulationError):
         sim.run()
 
 
-# -- failure, cancellation, and AnyOf semantics ------------------------------------
+# -- failures --------------------------------------------------------------------
 
 
 def test_event_fail_throws_into_waiter():
@@ -216,7 +233,7 @@ def test_event_fail_throws_into_waiter():
         except ValueError as exc:
             return f"recovered:{exc}"
 
-    assert sim.run_process(proc()) == "recovered:boom"
+    assert _run_process(sim, proc()) == "recovered:boom"
     assert sim.now == 10
     assert gate.failed
 
@@ -240,7 +257,7 @@ def test_process_failure_propagates_out_of_run_without_waiter():
         yield 5
         raise RuntimeError("loud")
 
-    sim.process(proc())
+    Process(sim, proc())
     with pytest.raises(RuntimeError):
         sim.run()
 
@@ -254,35 +271,11 @@ def test_process_failure_delivered_to_waiting_parent():
 
     def parent():
         try:
-            yield sim.process(child())
+            yield Process(sim, child())
         except RuntimeError:
             return "handled"
 
-    assert sim.run_process(parent()) == "handled"
-
-
-def test_anyof_first_event_wins_and_losers_are_ignored():
-    sim = Simulator()
-    def proc():
-        value = yield AnyOf([sim.timeout(50, "slow"), sim.timeout(10, "fast")])
-        return value
-
-    assert sim.run_process(proc()) == "fast"
-
-
-def test_anyof_timeout_pattern_guards_a_hung_event():
-    sim = Simulator()
-    def proc():
-        result = yield AnyOf([sim.event("never-acked"), sim.timeout(100, "timeout")])
-        return result
-
-    assert sim.run_process(proc()) == "timeout"
-    assert sim.now == 100
-
-
-def test_anyof_needs_children():
-    with pytest.raises(SimulationError):
-        AnyOf([])
+    assert _run_process(sim, parent()) == "handled"
 
 
 def test_allof_child_failure_throws_first_failure():
@@ -290,90 +283,39 @@ def test_allof_child_failure_throws_first_failure():
     bad = sim.event("bad")
     sim.schedule(5, lambda _: bad.fail(ValueError("first")))
 
+    slow = sim.event("slow")
+    sim.schedule(50, slow.succeed)
+
     def proc():
         try:
-            yield AllOf([sim.timeout(50), bad])
+            yield AllOf([slow, bad])
         except ValueError:
             return sim.now
 
-    assert sim.run_process(proc()) == 5
-
-
-def test_interrupt_cancels_pending_sleep():
-    sim = Simulator()
-
-    def proc():
-        try:
-            yield 1000
-        except TimeoutError:
-            return sim.now
-
-    handle = sim.process(proc())
-    sim.schedule(100, lambda _: handle.interrupt(TimeoutError()))
-    sim.run()
-    assert handle.value == 100
-    # the stale 1000ps wakeup must not resume the finished process
-    assert sim.now >= 1000 or handle.finished
-
-
-def test_interrupt_after_finish_is_ignored():
-    sim = Simulator()
-
-    def proc():
-        yield 10
-        return "ok"
-
-    handle = sim.process(proc())
-    sim.schedule(50, lambda _: handle.interrupt(RuntimeError("late")))
-    sim.run()
-    assert handle.value == "ok"
-
-
-def test_interrupt_with_non_exception_rejected():
-    sim = Simulator()
-
-    def proc():
-        yield 10
-
-    handle = sim.process(proc())
-    with pytest.raises(SimulationError):
-        handle.interrupt("oops")
+    assert _run_process(sim, proc()) == 5
 
 
 # -- stall watchdog / deadlock diagnosis ---------------------------------------------
 
 
-def test_run_process_deadlock_error_names_blocked_processes():
-    from repro.errors import DeadlockError
-
-    sim = Simulator()
-
-    def stuck():
-        yield sim.event("never-fires")
-
-    with pytest.raises(DeadlockError) as excinfo:
-        sim.run_process(stuck(), name="stuck-proc")
-    err = excinfo.value
-    assert ("stuck-proc", "event 'never-fires'") in err.blocked
-    assert "stuck-proc" in str(err)
-    assert "never-fires" in str(err)
-
-
 def test_blocked_processes_describe_their_wait_targets():
     sim = Simulator()
-
-    def on_event():
-        yield sim.event("ack")
-
-    def on_delay():
-        yield ns(5)
-
-    sim.process(on_event(), name="waiter")
-    sim.process(on_delay(), name="sleeper")
-    sim.run(until=0)  # let both reach their first yield, nothing fires
-    blocked = dict(sim.blocked_processes())
-    assert blocked["waiter"] == "event 'ack'"
-    assert blocked["sleeper"].startswith("delay ")
+    programs = {
+        "waiter": [Barrier()],
+        "sleeper": [Compute(5)],
+        "drainer": [Read(dimm=0, offset=0, nbytes=64), Flush()],
+        "queued": [Read(dimm=0, offset=0, nbytes=64)] * 3,
+    }
+    for name, ops in programs.items():
+        _Core(sim, name).run_thread(0, ops)
+    assert dict(sim.blocked_threads())["waiter.t0"] == "nothing (not yet waiting)"
+    sim.run(until=0)  # every thread reaches its first wait, nothing fires
+    assert dict(sim.blocked_threads()) == {
+        "waiter.t0": "event 'core.barrier'",
+        "sleeper.t0": "delay 5000ps",
+        "drainer.t0": "drain of 1 requests",
+        "queued.t0": "event 'queued.window.acquire'",
+    }
 
 
 def test_wall_clock_stall_raises_with_snapshot():
@@ -381,74 +323,32 @@ def test_wall_clock_stall_raises_with_snapshot():
     from repro.sim import StallWatchdog
 
     sim = Simulator()
-
-    def spin():
-        while True:
-            yield 1
-
-    sim.process(spin(), name="spinner")
+    _Core(sim, "spinner").run_thread(0, itertools.repeat(Compute(1)))
     watchdog = StallWatchdog(wall_clock_limit_s=0.05, check_interval_events=64)
     with pytest.raises(SimStallError) as excinfo:
         sim.run(watchdog=watchdog)
     snapshot = excinfo.value.snapshot
     assert snapshot["time_ps"] == sim.now
     assert snapshot["events_processed"] > 0
-    assert ("spinner", "delay 1ps") in snapshot["blocked"]
-
-
-def test_deadlock_detected_on_queue_drain_when_enabled():
-    from repro.errors import DeadlockError
-    from repro.sim import StallWatchdog
-
-    sim = Simulator()
-
-    def stuck():
-        yield sim.event("missing-ack")
-
-    sim.process(stuck(), name="orphan")
-    with pytest.raises(DeadlockError) as excinfo:
-        sim.run(watchdog=StallWatchdog(detect_deadlock=True))
-    assert ("orphan", "event 'missing-ack'") in excinfo.value.blocked
-
-
-def test_drain_without_blocked_processes_passes_deadlock_detection():
-    from repro.sim import StallWatchdog
-
-    sim = Simulator()
-
-    def quick():
-        yield 5
-        return "done"
-
-    handle = sim.process(quick())
-    sim.run(watchdog=StallWatchdog(detect_deadlock=True))
-    assert handle.value == "done"
+    assert snapshot["live_threads"] == 1
+    assert snapshot["blocked"] == [("spinner.t0", "delay 1000ps")]
 
 
 def test_process_wide_watchdog_install_and_clear():
     from repro.errors import SimStallError
-    from repro.sim import (
-        StallWatchdog,
-        active_watchdog,
-        clear_watchdog,
-        install_watchdog,
-    )
+    from repro.sim import StallWatchdog, clear_watchdog, install_watchdog
 
     sim = Simulator()
-
-    def spin():
-        while True:
-            yield 1
-
-    sim.process(spin(), name="spinner")
+    _Core(sim, "spinner").run_thread(0, itertools.repeat(Compute(1)))
     install_watchdog(StallWatchdog(wall_clock_limit_s=0.05, check_interval_events=64))
     try:
-        assert active_watchdog() is not None
         with pytest.raises(SimStallError):
             sim.run()  # picks up the installed watchdog implicitly
     finally:
         clear_watchdog()
-    assert active_watchdog() is None
+    # disarmed: 100 more events run past the spent budget's check interval
+    horizon = sim.now + ns(100)
+    assert sim.run(until=horizon) == horizon
 
 
 def test_watchdog_rejects_nonpositive_budget():
@@ -482,50 +382,6 @@ class _Abort(BaseException):
     """Stands in for KeyboardInterrupt / SystemExit."""
 
 
-def test_base_exception_escapes_an_already_delivered_anyof():
-    # regression: the child's BaseException used to become a process
-    # failure, which the AnyOf waiter (already resumed by the timeout)
-    # then dropped -- and run() returned normally
-    sim = Simulator()
-
-    def child():
-        yield 10
-        raise _Abort()
-
-    def parent():
-        yield AnyOf([sim.process(child(), name="child"), sim.timeout(5)])
-        return "timed out"
-
-    handle = sim.process(parent(), name="parent")
-    with pytest.raises(_Abort):
-        sim.run()
-    assert handle.value == "timed out"
-    assert sim.now == 10
-
-
-def test_base_exception_escapes_an_interrupted_wait():
-    # the waiter's epoch is stale (interrupted), so a failure delivered
-    # through done would have been dropped
-    sim = Simulator()
-
-    def child():
-        yield 10
-        raise _Abort()
-
-    def parent():
-        try:
-            yield sim.process(child(), name="child")
-        except TimeoutError:
-            return "interrupted"
-
-    handle = sim.process(parent(), name="parent")
-    sim.schedule(5, lambda _arg: handle.interrupt(TimeoutError()))
-    with pytest.raises(_Abort):
-        sim.run()
-    assert handle.value == "interrupted"
-    assert sim.now == 10
-
-
 def test_base_exception_thrown_into_a_waiter_is_not_a_failure():
     sim = Simulator()
     gate = sim.event("gate")
@@ -535,11 +391,11 @@ def test_base_exception_thrown_into_a_waiter_is_not_a_failure():
 
     def parent():
         try:
-            yield sim.process(child(), name="child")
+            yield Process(sim, child(), name="child")
         except BaseException:  # a failure delivery would land here
             return "swallowed"
 
-    handle = sim.process(parent(), name="parent")
+    handle = Process(sim, parent(), name="parent")
     sim.schedule(5, lambda _arg: gate.fail(KeyboardInterrupt()))
     with pytest.raises(KeyboardInterrupt):
         sim.run()
@@ -553,7 +409,7 @@ def test_failed_process_done_stays_untriggered():
         yield 5
         raise RuntimeError("loud")
 
-    handle = sim.process(proc())
+    handle = Process(sim, proc())
     with pytest.raises(RuntimeError):
         sim.run()
     assert handle.finished
@@ -568,7 +424,7 @@ def test_done_of_a_finished_process_is_built_fired():
         yield 5
         return "ok"
 
-    handle = sim.process(proc())
+    handle = Process(sim, proc())
     sim.run()
     assert handle.done.triggered and handle.done.value == "ok"
     assert handle.done.name == "proc.done"
@@ -612,16 +468,16 @@ def test_then_keeps_its_place_among_waiters_and_plain_callbacks():
         value = yield event
         log.append((tag, value))
 
-    sim.process(waiter("w1"))
+    Process(sim, waiter("w1"))
     sim.run()  # the waiter registers first
     event.then(lambda arg: log.append((arg, event.value)), "then")
     event.add_callback(lambda ev: log.append(("plain", ev.value)))
-    sim.process(waiter("w2"))
+    Process(sim, waiter("w2"))
     sim.run()
     sim.schedule(3, event.succeed, "v")
     sim.run()
-    # the plain callback runs inside succeed(); the waiter records and the
-    # continuation take lane slots in registration order
+    # the plain callback runs inside succeed(); the processes' waits and
+    # the continuation take lane slots in registration order
     assert log == [("plain", "v"), ("w1", "v"), ("then", "v"), ("w2", "v")]
 
 
@@ -675,7 +531,7 @@ def _join_twins(outcomes):
                     return
                 log.append(("done", sim.now, None))
 
-            sim.process(waiting())
+            Process(sim, waiting())
         sim.run()
         runs.append((log, sim.now, sim._seq))
     return runs

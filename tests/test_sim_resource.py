@@ -81,15 +81,12 @@ def test_slot_resource_blocks_and_wakes_fifo():
     slots = SlotResource(sim, 1)
     order = []
 
-    def worker(tag, hold):
-        yield slots.acquire()
+    def granted(tag):
         order.append((tag, sim.now))
-        yield hold
-        slots.release()
+        sim.schedule(100, lambda _arg: slots.release())
 
-    sim.process(worker("a", 100))
-    sim.process(worker("b", 100))
-    sim.process(worker("c", 100))
+    for tag in "abc":
+        slots.acquire().then(granted, tag)
     sim.run()
     assert order == [("a", 0), ("b", 100), ("c", 200)]
     assert slots.peak_in_use == 1

@@ -54,15 +54,14 @@ def test_barrier_generations_are_independent(mode):
     manager.set_participants([0, 1])
     order = []
 
-    def thread(thread_id):
-        def proc():
-            for generation in range(3):
-                yield manager.barrier(thread_id)
-                order.append((generation, thread_id))
-        return proc()
+    def released(arrival):
+        thread_id, generation = arrival
+        order.append((generation, thread_id))
+        if generation < 2:
+            manager.barrier(thread_id).then(released, (thread_id, generation + 1))
 
-    system.sim.process(thread(0))
-    system.sim.process(thread(1))
+    for thread_id in (0, 1):
+        manager.barrier(thread_id).then(released, (thread_id, 0))
     system.sim.run()
     assert [g for g, _t in order] == [0, 0, 1, 1, 2, 2]
     assert system.stats.get("sync.barriers") == 3

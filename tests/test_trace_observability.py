@@ -33,12 +33,9 @@ def test_recorder_spans_capture_sim_time():
     rec = TraceRecorder(sim)
     sim.trace = rec
 
-    def proc():
-        span = rec.begin("nmp", "thread", "core0", thread=3)
-        yield 100
-        rec.end(span, status="done")
-
-    sim.run_process(proc())
+    span = rec.begin("nmp", "thread", "core0", thread=3)
+    sim.schedule(100, lambda _arg: rec.end(span, status="done"))
+    sim.run()
     assert len(rec.spans) == 1
     cat, name, group, lane, start, end, args = rec.spans[0]
     assert (cat, name, group, lane) == ("nmp", "thread", "core0", 0)
@@ -120,12 +117,13 @@ def test_sampler_driven_by_event_loop_without_injecting_events():
     rec.add_sampler(sampler)
     sim.trace = rec
 
-    def proc():
-        for _ in range(5):
+    def step(remaining):
+        if remaining:
             stats.add("bytes", 100)
-            yield ns(10)
+            sim.schedule(ns(10), step, remaining - 1)
 
-    sim.run_process(proc())
+    sim.schedule(0, step, 5)
+    sim.run()
     rec.finalize()
     # the sampler must not extend simulated time beyond the last real event
     assert sim.now == ns(50)
