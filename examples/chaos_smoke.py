@@ -3,14 +3,14 @@
 
 Runs a real fig16-style grid through the supervised :class:`SweepRunner`
 with a fault-injecting ``execute`` hook that makes one spec crash every
-attempt and another hang until the per-spec timeout cuts it off.  Then
+attempt and another hang until the per-spec alarm cuts it off.  Then
 asserts the fault-tolerance contract end to end:
 
 * the sweep **completes** — every healthy spec simulates, is
   checkpointed incrementally, and comes back in order;
 * exactly the two bad specs are **quarantined** into the dead-letter
-  list, with their retry counts and (for the hang) the engine
-  watchdog's diagnosis of where the simulation was stuck;
+  list, with their retry counts and (for the hang) the diagnosis the
+  alarm draws from the event loop: where the simulation was stuck;
 * a warm rerun of the same sweep replays the healthy specs from the
   cache (>= 90% hit rate), so an interrupted campaign resumes with
   zero lost work.
@@ -43,7 +43,7 @@ SPECS = fig16_bandwidth.specs(
 )
 
 CRASH_AT = 2  # spec index that raises on every attempt
-HANG_AT = 5  # spec index whose simulation livelocks until the watchdog fires
+HANG_AT = 5  # spec index whose simulation livelocks until the alarm fires
 
 #: generous next to the sub-second healthy specs, tight enough that the
 #: two hang attempts cost the smoke run ~20s.
@@ -56,8 +56,8 @@ def chaotic_execute(spec):
         raise RuntimeError("chaos: injected crash")
     if spec == SPECS[HANG_AT]:
         # a hung *simulation*: the kernel's one thread computes forever,
-        # so the event queue never drains and the engine's StallWatchdog
-        # must cut it off and name the thread
+        # so the event queue never drains; the worker's alarm must cut it
+        # off inside Simulator.run, which names the thread
         NMPSystem(SystemConfig.named("4D-2C")).run([lambda: itertools.repeat(Compute(100))])
     return execute_spec(spec)
 
@@ -89,7 +89,7 @@ def run_chaos_sweep(cache_dir: str) -> None:
     for letter in chaos.dead_letters:
         assert letter.attempts == 2, f"expected 2 attempts, saw {letter.attempts}"
         if SPECS.index(letter.spec) == HANG_AT:
-            # the engine watchdog diagnosed *where* the hang was stuck
+            # the event loop's snapshot says *where* the hang was stuck
             assert "stalled at" in letter.diagnosis, letter
             assert "dimm0.core0.t0 <- delay " in letter.diagnosis, letter
         print(f"[chaos] dead-letter: {letter.summary()}")

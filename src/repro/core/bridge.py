@@ -61,10 +61,6 @@ class DLBridge:
         """Whether two DIMMs share a DL group (can route without the host)."""
         return self.locate(a)[0] == self.locate(b)[0]
 
-    def network_of(self, dimm_id: int) -> PacketNetwork:
-        """The group network serving a DIMM."""
-        return self.networks[self.locate(dimm_id)[0]]
-
     def hops(self, a: int, b: int) -> int:
         """Intra-group hop count (raises if not in the same group)."""
         group_a, pos_a = self.locate(a)
@@ -89,10 +85,6 @@ class DLBridge:
         """Flood a packet through the root DIMM's group."""
         group, root_pos = self.locate(root_dimm)
         return self.networks[group].broadcast(root_pos, wire_bytes)
-
-    def total_link_busy_ps(self) -> int:
-        """Aggregate busy time over every link of every group."""
-        return sum(network.total_busy_ps() for network in self.networks)
 
     # -- fault application (driven by repro.faults.FaultInjector) --------------------
 

@@ -35,9 +35,10 @@ class DeadlockError(SimulationError):
 class SimStallError(SimulationError):
     """The simulation exceeded its wall-clock budget while still running.
 
-    Raised by the engine's stall watchdog; ``snapshot`` is a diagnostic
-    dict (simulated time, events processed, queue depth, blocked
-    threads) captured at the moment the budget expired.
+    Raised by ``Simulator.run`` when the sweep harness's alarm
+    (:class:`SpecTimeoutError`, its ``__cause__``) fires inside the event
+    loop; ``snapshot`` is a diagnostic dict (simulated time, event count,
+    queue depth, blocked threads) captured at that moment.
     """
 
     def __init__(self, message: str, snapshot=None) -> None:
@@ -46,11 +47,13 @@ class SimStallError(SimulationError):
 
 
 class SpecTimeoutError(ReproError):
-    """A spec exceeded its wall-clock budget outside the simulator.
+    """A spec exceeded its wall-clock budget.
 
-    The SIGALRM backstop behind the engine watchdog: fires when the
-    hang is in workload generation, placement, or any other phase the
-    simulator's own stall detector cannot see.
+    Raised by the SIGALRM handler the sweep harness arms for each spec
+    attempt.  A hang inside the event loop surfaces as
+    :class:`SimStallError` instead, naming the blocked threads; this one
+    reports a hang anywhere else (workload generation, placement
+    solving, serialization).
     """
 
 

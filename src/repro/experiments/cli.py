@@ -20,8 +20,9 @@ the cache the moment it completes, so an interrupted run (Ctrl-C, OOM
 kill, crash) loses no finished work — rerun the same command and it
 resumes from the cache.  Failing points are retried (``--retries``,
 capped exponential backoff) and quarantined into a dead-letter report
-instead of aborting the sweep; ``--spec-timeout`` bounds each point's
-wall-clock time and reports *where* a hung simulation was stuck.
+instead of aborting the sweep; ``--spec-timeout`` arms one alarm per
+attempt, in the process that runs the point, and reports *where* a hung
+simulation was stuck.
 Quarantined specs persist to ``dead_letters.json`` in the cache
 directory, so reruns skip known-bad points without burning their retry
 budget again; ``--retry-dead-letter`` re-attempts them and clears the
@@ -34,7 +35,7 @@ import argparse
 import sys
 from typing import Callable, Dict
 
-from repro.errors import SweepExecutionError
+from repro.errors import ConfigError, SweepExecutionError
 
 from repro.experiments import (
     apsp_sweep,
@@ -175,8 +176,10 @@ def main(argv=None) -> int:
         parser.error("--jobs must be >= 1")
     if args.retries < 0:
         parser.error("--retries must be >= 0")
-    if args.spec_timeout is not None and args.spec_timeout <= 0:
-        parser.error("--spec-timeout must be positive")
+    try:
+        sweep_runner.check_spec_timeout(args.spec_timeout)
+    except ConfigError as exc:
+        parser.error(f"--spec-timeout: {exc}")
 
     if args.experiment == "trace":
         if args.target is None or args.target not in traceable_names():

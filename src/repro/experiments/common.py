@@ -249,14 +249,3 @@ def run_optimized(
     factories = workload.thread_factories(threads, config.num_dimms)
     result = system.run(factories, placement=placement, workload_name=workload.name)
     return charge_profiling(result, profile_fraction)
-
-
-def mechanism_results(
-    config: SystemConfig,
-    workload: Workload,
-    mechanisms: tuple = ("mcn", "aim", "dimm_link"),
-) -> Dict[str, RunResult]:
-    """Run one workload across several mechanisms (fresh system each)."""
-    return {
-        mech: run_nmp(config, workload, mechanism=mech) for mech in mechanisms
-    }

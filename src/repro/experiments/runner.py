@@ -22,11 +22,13 @@ loops could not:
   lost work.  Failed specs are retried with capped exponential backoff;
   specs that exhaust their budget are quarantined into a **dead-letter
   list** (:attr:`SweepRunner.dead_letters`) instead of aborting the
-  sweep.  A per-spec wall-clock timeout arms the simulation engine's
-  :class:`~repro.sim.engine.StallWatchdog` (rich where-did-it-hang
-  diagnosis) with a SIGALRM backstop for hangs outside the simulator.
-  A :class:`~concurrent.futures.process.BrokenProcessPool` respawns the
-  pool; if respawns keep dying, execution degrades to in-process serial.
+  sweep.  Every attempt is one :func:`supervised_call` in the process
+  that runs the spec: it sleeps the attempt's backoff and arms the one
+  per-spec timeout, a SIGALRM that a hung simulation answers with its
+  blocked threads.  A worker death breaks the pool
+  (:class:`~concurrent.futures.process.BrokenProcessPool`): every
+  attempt in flight is charged, and the specs left in budget go to a
+  fresh pool.  No spec is ever retried in the parent of a pool.
 
 The CLI configures a process-wide default runner (:func:`configure`);
 experiments call :func:`run_specs` and inherit its jobs/cache settings.
@@ -47,7 +49,7 @@ from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.config import SystemConfig
 from repro.errors import (
@@ -74,7 +76,6 @@ from repro.mapping.profile import profiled_page_assignment
 from repro.nmp.results import RunResult
 from repro.nmp.system import NMPSystem
 from repro.results_cache import CODE_VERSION, ResultsCache
-from repro.sim.engine import StallWatchdog, clear_watchdog, install_watchdog
 from repro.sim.time import ns
 from repro.workloads.base import Workload
 from repro.workloads.microbench import UniformRandom
@@ -94,18 +95,9 @@ FAULT_TIME_PS = ns(300)
 RETRY_BACKOFF_S = 0.05
 RETRY_BACKOFF_CAP_S = 2.0
 
-#: how far past ``spec_timeout`` the worker's SIGALRM backstop fires —
-#: the engine watchdog gets first shot so a hang *inside* the simulator
-#: reports its blocked threads before the coarse alarm triggers.
-ALARM_GRACE = 1.25
-
-#: extra wall-clock slack the parent grants an in-flight spec beyond the
-#: worker-side timeout before it declares the worker unresponsive and
-#: terminates the pool (last-resort reaper for non-Python hangs).
-PARENT_REAP_GRACE_S = 10.0
-
-#: pool respawns tolerated per batch before degrading to serial.
-MAX_POOL_RESPAWNS = 2
+#: the longest ``spec_timeout`` the alarm arms on every platform (it
+#: fits a 32-bit ``time_t``); ``setitimer`` overflows not far beyond.
+MAX_SPEC_TIMEOUT_S = float(2**31 - 1)
 
 #: RunSpec fields an NMP simulation reads as given; the memo key adds
 #: the mechanism, polling strategy and thread placement the runner
@@ -481,64 +473,74 @@ def _worker_init(parent_sys_path: List[str]) -> None:
 # -- per-spec supervision ------------------------------------------------------------
 
 
+def check_spec_timeout(spec_timeout: Optional[float]) -> None:
+    """Raise :class:`ConfigError` unless the alarm can arm ``spec_timeout``.
+
+    ``None`` (no timeout) always passes.  Otherwise the platform needs
+    SIGALRM, and the value must lie in ``(0, MAX_SPEC_TIMEOUT_S]``:
+    ``setitimer`` rejects NaN, infinity and larger values, which would
+    fail every spec the moment its alarm is armed.
+    """
+    if spec_timeout is None:
+        return
+    if not hasattr(signal, "SIGALRM"):
+        raise ConfigError("spec_timeout needs SIGALRM, which this platform lacks")
+    if not 0.0 < spec_timeout <= MAX_SPEC_TIMEOUT_S:  # NaN fails both
+        raise ConfigError(
+            f"spec_timeout must be in (0, {MAX_SPEC_TIMEOUT_S:.0f}] seconds, "
+            f"got {spec_timeout}"
+        )
+
+
 def _alarm_handler(signum, frame) -> None:
-    raise SpecTimeoutError(
-        "spec exceeded its wall-clock budget outside the simulator"
-    )
+    raise SpecTimeoutError("spec exceeded its wall-clock budget")
 
 
 def supervised_call(
     execute: Callable[[RunSpec], RunResult],
     spec: RunSpec,
     timeout_s: Optional[float],
+    attempt: int = 1,
 ) -> RunResult:
-    """Run one spec under the stall watchdog and a SIGALRM backstop.
+    """Run attempt number ``attempt`` of one spec: back off, arm, execute.
 
-    With a timeout, the engine's :class:`StallWatchdog` is armed for the
-    whole call, so a hang inside ``Simulator.run`` raises
+    Every attempt of every spec runs through here, in the process that
+    executes it.  A retry first sleeps its capped exponential backoff
+    (:data:`RETRY_BACKOFF_S` doubling up to :data:`RETRY_BACKOFF_CAP_S`).
+    With a timeout, a SIGALRM is then armed for the attempt, and its
+    :class:`~repro.errors.SpecTimeoutError` ends the attempt wherever it
+    is; inside ``Simulator.run`` it leaves as
     :class:`~repro.errors.SimStallError` with the blocked-thread
-    snapshot.  SIGALRM (where available, main thread only) fires
-    slightly later and catches hangs the simulator cannot see —
-    workload generation, placement solving, serialization.
+    snapshot.  The caller has checked the timeout
+    (:func:`check_spec_timeout`) and runs this on its main thread.
 
     The caller's SIGALRM state is restored on exit: both the previous
     handler *and* any previously armed itimer (its remaining time is
     re-armed, so an outer alarm still fires about when it would have).
     """
+    if attempt > 1:
+        time.sleep(min(RETRY_BACKOFF_CAP_S, RETRY_BACKOFF_S * 2 ** (attempt - 2)))
     if timeout_s is None:
         return execute(spec)
-    install_watchdog(StallWatchdog(wall_clock_limit_s=timeout_s))
-    use_alarm = (
-        hasattr(signal, "SIGALRM")
-        and threading.current_thread() is threading.main_thread()
+    previous_handler = signal.signal(signal.SIGALRM, _alarm_handler)
+    armed_at = time.monotonic()
+    previous_delay, previous_interval = signal.setitimer(
+        signal.ITIMER_REAL, timeout_s
     )
-    if use_alarm:
-        previous_handler = signal.signal(signal.SIGALRM, _alarm_handler)
-        armed_at = time.monotonic()
-        previous_delay, previous_interval = signal.setitimer(
-            signal.ITIMER_REAL, timeout_s * ALARM_GRACE
-        )
     try:
         return execute(spec)
     finally:
-        clear_watchdog()
-        if use_alarm:
-            signal.setitimer(signal.ITIMER_REAL, 0.0)
-            signal.signal(signal.SIGALRM, previous_handler)
-            if previous_delay:
-                remaining = previous_delay - (time.monotonic() - armed_at)
-                signal.setitimer(
-                    signal.ITIMER_REAL, max(remaining, 1e-6), previous_interval
-                )
-
-
-def _backoff_delay(attempt: int) -> float:
-    """Capped exponential backoff before retry number ``attempt``."""
-    return min(RETRY_BACKOFF_CAP_S, RETRY_BACKOFF_S * (2 ** max(0, attempt - 1)))
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous_handler)
+        if previous_delay:
+            remaining = previous_delay - (time.monotonic() - armed_at)
+            signal.setitimer(
+                signal.ITIMER_REAL, max(remaining, 1e-6), previous_interval
+            )
 
 
 def _diagnose(exc: BaseException) -> str:
-    """Where-did-it-hang detail for watchdog/deadlock failures."""
+    """Where-did-it-hang detail for stall/deadlock failures."""
     if isinstance(exc, SimStallError):
         blocked = exc.snapshot.get("blocked", [])
         lines = [
@@ -582,7 +584,7 @@ class DeadLetter:
 class SweepRunner:
     """Executes RunSpec batches with memoisation, process fan-out, and
     supervision: incremental checkpointing, retry/quarantine, per-spec
-    timeouts, and pool respawn with serial degradation."""
+    timeouts, and pool respawn."""
 
     def __init__(
         self,
@@ -593,7 +595,6 @@ class SweepRunner:
         retries: int = 1,
         spec_timeout: Optional[float] = None,
         strict: bool = True,
-        max_pool_respawns: int = MAX_POOL_RESPAWNS,
         dead_letter_store: Optional[Union[DeadLetterStore, str]] = None,
         retry_dead_letter: bool = False,
     ) -> None:
@@ -601,8 +602,7 @@ class SweepRunner:
             raise ConfigError(f"jobs must be >= 1, got {jobs}")
         if retries < 0:
             raise ConfigError(f"retries must be >= 0, got {retries}")
-        if spec_timeout is not None and spec_timeout <= 0:
-            raise ConfigError(f"spec_timeout must be positive, got {spec_timeout}")
+        check_spec_timeout(spec_timeout)
         self.jobs = jobs
         self.cache = ResultsCache(cache) if isinstance(cache, str) else cache
         self.use_cache = use_cache and self.cache is not None
@@ -617,7 +617,6 @@ class SweepRunner:
         #: ``None`` at the failed positions and the caller inspects
         #: :attr:`dead_letters`.
         self.strict = strict
-        self.max_pool_respawns = max_pool_respawns
         #: persisted quarantine: a rerun skips specs recorded here unless
         #: :attr:`retry_dead_letter` is set; fresh quarantines are written
         #: through, and a skipped-then-retried spec that succeeds is
@@ -700,7 +699,7 @@ class SweepRunner:
                     continue
                 skipped_indices += len(targets[pos])
                 skipped.append(
-                    self._dead_letter(
+                    DeadLetter(
                         miss_specs[pos],
                         key,
                         int(known.get("attempts", 0)),
@@ -764,50 +763,49 @@ class SweepRunner:
         """Run every spec (at-most-once success each), return quarantines."""
         if not specs:
             return []
-        if self.jobs == 1 or len(specs) <= 1:
-            return self._run_serial(list(range(len(specs))), specs, keys, checkpoint)
-        return self._run_pool(specs, keys, checkpoint)
-
-    def _dead_letter(
-        self, spec: RunSpec, key: str, attempts: int, error: str, diagnosis: str = ""
-    ) -> DeadLetter:
-        return DeadLetter(
-            spec=spec, key=key, attempts=attempts, error=error, diagnosis=diagnosis
-        )
+        if self.jobs > 1 and len(specs) > 1:
+            return self._run_pool(specs, keys, checkpoint)
+        # refused before any spec runs, so no spec is charged for it
+        if (
+            self.spec_timeout is not None
+            and threading.current_thread() is not threading.main_thread()
+        ):
+            raise ConfigError(
+                "spec_timeout arms SIGALRM, which only the main thread "
+                "receives; run this in-process batch on the main thread"
+            )
+        return self._run_serial(specs, keys, checkpoint)
 
     def _run_serial(
         self,
-        positions: List[int],
         specs: List[RunSpec],
         keys: List[str],
         checkpoint: Callable[[int, RunResult], None],
-        attempts: Optional[Dict[int, int]] = None,
     ) -> List[DeadLetter]:
-        """In-process execution with retries (also the degraded path)."""
-        attempts = attempts if attempts is not None else {}
+        """In-process execution: each spec's attempts back to back."""
         failures: List[DeadLetter] = []
-        for pos in positions:
+        for pos, spec in enumerate(specs):
+            attempt = 0
             while True:
-                attempts[pos] = attempts.get(pos, 0) + 1
+                attempt += 1
                 try:
                     result = supervised_call(
-                        self.execute, specs[pos], self.spec_timeout
+                        self.execute, spec, self.spec_timeout, attempt
                     )
                 except Exception as exc:
-                    if attempts[pos] > self.retries:
-                        failures.append(
-                            self._dead_letter(
-                                specs[pos],
-                                keys[pos],
-                                attempts[pos],
-                                f"{type(exc).__name__}: {exc}",
-                                _diagnose(exc),
-                            )
+                    if attempt <= self.retries:
+                        continue
+                    failures.append(
+                        DeadLetter(
+                            spec,
+                            keys[pos],
+                            attempt,
+                            f"{type(exc).__name__}: {exc}",
+                            _diagnose(exc),
                         )
-                        break
-                    time.sleep(_backoff_delay(attempts[pos]))
-                    continue
-                checkpoint(pos, result)
+                    )
+                else:
+                    checkpoint(pos, result)
                 break
         return failures
 
@@ -818,132 +816,73 @@ class SweepRunner:
             initargs=(list(sys.path),),
         )
 
-    def _submit(
-        self,
-        pool: ProcessPoolExecutor,
-        specs: List[RunSpec],
-        pos: int,
-        inflight: Dict[Future, int],
-        started: Dict[Future, float],
-        attempts: Dict[int, int],
-    ) -> None:
-        attempts[pos] = attempts.get(pos, 0) + 1
-        future = pool.submit(
-            supervised_call, self.execute, specs[pos], self.spec_timeout
-        )
-        inflight[future] = pos
-        started[future] = time.monotonic()
-
     def _run_pool(
         self,
         specs: List[RunSpec],
         keys: List[str],
         checkpoint: Callable[[int, RunResult], None],
     ) -> List[DeadLetter]:
-        """submit/as-completed dispatch with retry, timeout, and respawn."""
+        """Submit every spec, then collect completions as they come.
+
+        A failed attempt within budget is resubmitted at once; the
+        worker that runs the retry sleeps its backoff.  A dead worker
+        breaks the pool and every attempt in flight with it: each is
+        charged, the specs out of budget are quarantined and the rest go
+        to a fresh pool.  Every break costs each spec in flight an
+        attempt, so a batch sees at most ``len(specs) * (retries + 1)``.
+        """
         failures: List[DeadLetter] = []
-        attempts: Dict[int, int] = {}
-        timed_out: Set[int] = set()
-        #: (due_monotonic, pos) retries parked for their backoff delay.
-        backoff: "deque[Tuple[float, int]]" = deque()
-        respawns = 0
-        pool = self._new_pool(len(specs))
+        attempts = [0] * len(specs)
+        #: specs waiting for (re)submission, and the spec of each future
+        queued = deque(range(len(specs)))
         inflight: Dict[Future, int] = {}
-        started: Dict[Future, float] = {}
 
-        def recover(broken_pool: ProcessPoolExecutor, first_pos: int):
-            """Pool died: quarantine/respawn, or degrade to serial.
-
-            Returns the fresh pool, or ``None`` once respawns are
-            exhausted — the remaining specs then finish in-process and
-            their outcomes are already folded into ``failures``.
-            """
-            nonlocal respawns
-            survivors = self._absorb_pool_break(
-                sorted({first_pos, *inflight.values()}),
-                specs,
-                keys,
-                attempts,
-                timed_out,
-                failures,
-            )
-            inflight.clear()
-            started.clear()
-            respawns += 1
-            broken_pool.shutdown(wait=False, cancel_futures=True)
-            remaining = survivors + sorted(pos for _due, pos in backoff)
-            backoff.clear()
-            if respawns > self.max_pool_respawns:
-                # workers keep dying: finish in-process, serially
-                failures.extend(
-                    self._run_serial(remaining, specs, keys, checkpoint, attempts)
+        def failed(pos: int, error: str, diagnosis: str = "") -> None:
+            """Queue the spec's next attempt, or quarantine it."""
+            if attempts[pos] <= self.retries:
+                queued.append(pos)
+            else:
+                failures.append(
+                    DeadLetter(specs[pos], keys[pos], attempts[pos], error, diagnosis)
                 )
-                return None
-            fresh = self._new_pool(len(specs))
-            for retry_pos in remaining:
-                self._submit(fresh, specs, retry_pos, inflight, started, attempts)
-            return fresh
 
+        pool = self._new_pool(len(specs))
         try:
-            for pos in range(len(specs)):
-                self._submit(pool, specs, pos, inflight, started, attempts)
-            while inflight or backoff:
-                now = time.monotonic()
-                pool_broken = False
-                while backoff and backoff[0][0] <= now:
-                    _due, pos = backoff.popleft()
-                    try:
-                        self._submit(pool, specs, pos, inflight, started, attempts)
-                    except BrokenProcessPool:
-                        attempts[pos] -= 1  # this attempt never started
-                        pool = recover(pool, pos)
-                        pool_broken = True
-                        break
-                if pool_broken:
-                    if pool is None:
-                        return failures
-                    continue
-                if not inflight:  # everything is parked on backoff
-                    time.sleep(max(0.0, backoff[0][0] - time.monotonic()))
-                    continue
-                tick = 0.1 if (self.spec_timeout is not None or backoff) else None
-                done, _running = wait(
-                    set(inflight), timeout=tick, return_when=FIRST_COMPLETED
-                )
-                for future in done:
-                    pos = inflight.pop(future)
-                    started.pop(future, None)
-                    try:
-                        result = future.result()
-                    except BrokenProcessPool:
-                        pool_broken = True
-                        pool = recover(pool, pos)
-                        if pool is None:
-                            return failures
-                        break  # other done futures belong to the dead pool
-                    except Exception as exc:
-                        if attempts[pos] > self.retries:
-                            failures.append(
-                                self._dead_letter(
-                                    specs[pos],
-                                    keys[pos],
-                                    attempts[pos],
-                                    f"{type(exc).__name__}: {exc}",
-                                    _diagnose(exc),
-                                )
+            while queued or inflight:
+                try:
+                    while queued:
+                        pos = queued[0]
+                        future = pool.submit(
+                            supervised_call,
+                            self.execute,
+                            specs[pos],
+                            self.spec_timeout,
+                            attempts[pos] + 1,
+                        )
+                        queued.popleft()
+                        attempts[pos] += 1
+                        inflight[future] = pos
+                    done, _running = wait(inflight, return_when=FIRST_COMPLETED)
+                    for future in done:
+                        try:
+                            result = future.result()
+                        except BrokenProcessPool:
+                            raise  # charged below, with the rest in flight
+                        except Exception as exc:
+                            failed(
+                                inflight.pop(future),
+                                f"{type(exc).__name__}: {exc}",
+                                _diagnose(exc),
                             )
                         else:
-                            backoff.append(
-                                (
-                                    time.monotonic()
-                                    + _backoff_delay(attempts[pos]),
-                                    pos,
-                                )
-                            )
-                    else:
-                        checkpoint(pos, result)
-                if not pool_broken and self.spec_timeout is not None:
-                    self._reap_overdue(pool, inflight, started, timed_out)
+                            checkpoint(inflight.pop(future), result)
+                except BrokenProcessPool:
+                    # a worker died, and every attempt in flight with it
+                    pool.shutdown(wait=False, cancel_futures=True)
+                    for pos in sorted(inflight.values()):
+                        failed(pos, "worker process died (BrokenProcessPool)")
+                    inflight.clear()
+                    pool = self._new_pool(len(specs))
             pool.shutdown()
             return failures
         except BaseException:
@@ -951,67 +890,6 @@ class SweepRunner:
             # stop handing out new work before propagating (Ctrl-C, etc.)
             pool.shutdown(wait=False, cancel_futures=True)
             raise
-
-    def _absorb_pool_break(
-        self,
-        positions: List[int],
-        specs: List[RunSpec],
-        keys: List[str],
-        attempts: Dict[int, int],
-        timed_out: Set[int],
-        failures: List[DeadLetter],
-    ) -> List[int]:
-        """Split in-flight specs of a dead pool into retries vs quarantine.
-
-        Every in-flight spec's attempt died with the pool; the ones out
-        of budget are dead-lettered, the rest are returned for
-        resubmission (an innocent bystander of a crashing neighbour
-        succeeds on its retry).
-        """
-        survivors: List[int] = []
-        for pos in positions:
-            if attempts.get(pos, 0) > self.retries:
-                cause = (
-                    "wall-clock timeout: worker unresponsive, terminated by "
-                    "the parent reaper"
-                    if pos in timed_out
-                    else "worker process died (BrokenProcessPool)"
-                )
-                failures.append(
-                    self._dead_letter(specs[pos], keys[pos], attempts[pos], cause)
-                )
-            else:
-                survivors.append(pos)
-        return survivors
-
-    def _reap_overdue(
-        self,
-        pool: ProcessPoolExecutor,
-        inflight: Dict[Future, int],
-        started: Dict[Future, float],
-        timed_out: Set[int],
-    ) -> None:
-        """Terminate the pool when a worker blew through every timeout.
-
-        The worker-side watchdog + SIGALRM normally end an overdue spec
-        from within; this parent-side backstop only fires when a worker
-        is so wedged it ignored both (e.g. stuck outside the bytecode
-        loop), and recovery then rides the BrokenProcessPool path.
-        """
-        assert self.spec_timeout is not None
-        budget = self.spec_timeout * ALARM_GRACE + PARENT_REAP_GRACE_S
-        now = time.monotonic()
-        overdue = [
-            future
-            for future, begun in started.items()
-            if future in inflight and now - begun > budget
-        ]
-        if not overdue:
-            return
-        for future in overdue:
-            timed_out.add(inflight[future])
-        for process in list(getattr(pool, "_processes", {}).values()):
-            process.terminate()
 
 
 # -- process-wide default runner (configured by the CLI) -----------------------------

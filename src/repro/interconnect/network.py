@@ -29,7 +29,7 @@ retry backoff), and its retry count lives on the record.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Tuple
 
 from repro.errors import LinkFailure, RoutingError
 from repro.faults.watchdog import LinkWatchdog
@@ -104,11 +104,6 @@ class PacketNetwork:
         self._n_stream_self = f"{name}.stream.self"
         self._n_stream = f"{name}.stream"
         self._n_broadcast = f"{name}.broadcast"
-
-    @property
-    def links(self) -> Dict[Edge, BandwidthResource]:
-        """Directed-edge -> link resource map (read-only use)."""
-        return self._links
 
     def link(self, src: int, dst: int) -> BandwidthResource:
         """The directed link from ``src`` to ``dst`` (must be adjacent)."""
@@ -503,14 +498,6 @@ class PacketNetwork:
     def total_busy_ps(self) -> int:
         """Sum of busy time across every directed link."""
         return sum(link.busy_ps for link in self._links.values())
-
-    def peak_occupancy(self) -> float:
-        """Highest per-link occupancy (congestion indicator)."""
-        return max((link.occupancy() for link in self._links.values()), default=0.0)
-
-    def iter_link_stats(self) -> Iterable[Tuple[Edge, BandwidthResource]]:
-        """(directed edge, resource) pairs for reporting."""
-        return self._links.items()
 
 
 class _Packet:

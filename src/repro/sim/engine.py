@@ -32,11 +32,10 @@ seq)`` order (DESIGN.md §14).
 from __future__ import annotations
 
 import heapq
-import time
 from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
-from repro.errors import SimStallError, SimulationError
+from repro.errors import SimStallError, SimulationError, SpecTimeoutError
 from repro.trace.recorder import NULL_RECORDER
 
 #: sentinel bound for the run loop: an int compares smaller than +inf, so
@@ -44,75 +43,6 @@ from repro.trace.recorder import NULL_RECORDER
 _NO_BOUND = float("inf")
 
 _heappush = heapq.heappush
-
-
-class StallWatchdog:
-    """No-progress detector consulted by :meth:`Simulator.run`.
-
-    ``wall_clock_limit_s`` starts a monotonic deadline *at construction
-    time*, so one watchdog bounds a whole spec execution even when it
-    spans several ``run()`` calls.  The loop samples the clock every
-    ``check_interval_events`` events and raises
-    :class:`~repro.errors.SimStallError` with a diagnostic snapshot
-    (simulated time, event count, queue depth, live threads and what
-    each waits on) once the budget is spent.  A run whose queue drains
-    with threads still waiting is the systems' check to make
-    (:func:`repro.nmp.executor.run_threads`), not the watchdog's.
-
-    Install process-wide with :func:`install_watchdog` (how the sweep
-    harness arms per-spec budgets without threading a handle through
-    every layer) or pass one directly to ``Simulator.run``.
-    """
-
-    __slots__ = ("wall_clock_limit_s", "check_interval_events", "deadline")
-
-    def __init__(
-        self,
-        wall_clock_limit_s: Optional[float] = None,
-        check_interval_events: int = 4096,
-    ) -> None:
-        if wall_clock_limit_s is not None and wall_clock_limit_s <= 0:
-            raise SimulationError(
-                f"wall_clock_limit_s must be positive, got {wall_clock_limit_s}"
-            )
-        self.wall_clock_limit_s = wall_clock_limit_s
-        self.check_interval_events = max(1, check_interval_events)
-        self.deadline = (
-            time.monotonic() + wall_clock_limit_s
-            if wall_clock_limit_s is not None
-            else None
-        )
-
-    def check(self, sim: "Simulator", processed: int) -> None:
-        """Raise :class:`SimStallError` if the wall-clock budget is spent."""
-        if self.deadline is None or time.monotonic() <= self.deadline:
-            return
-        snapshot = sim.snapshot(events_processed=processed)
-        raise SimStallError(
-            f"simulation exceeded its {self.wall_clock_limit_s}s wall-clock "
-            f"budget at t={sim.now}ps ({processed} events this run, "
-            f"{snapshot['queue_depth']} queued, "
-            f"{snapshot['live_threads']} live threads)",
-            snapshot=snapshot,
-        )
-
-
-#: process-wide watchdog consulted by every ``Simulator.run`` when the
-#: caller passes none explicitly (armed per spec by the sweep harness).
-_ACTIVE_WATCHDOG: Optional[StallWatchdog] = None
-
-
-def install_watchdog(watchdog: StallWatchdog) -> StallWatchdog:
-    """Arm ``watchdog`` as the process-wide default; returns it."""
-    global _ACTIVE_WATCHDOG
-    _ACTIVE_WATCHDOG = watchdog
-    return watchdog
-
-
-def clear_watchdog() -> None:
-    """Disarm the process-wide watchdog."""
-    global _ACTIVE_WATCHDOG
-    _ACTIVE_WATCHDOG = None
 
 
 class SimEvent:
@@ -292,12 +222,12 @@ class Simulator:
         """Every scheduled-but-unexecuted callback, heap and lane."""
         return len(self._queue) + len(self._lane)
 
-    def snapshot(self, events_processed: int = 0) -> Dict[str, Any]:
-        """Diagnostic state dump used by stall/deadlock reports."""
+    def snapshot(self) -> Dict[str, Any]:
+        """Diagnostic state dump used by stall reports."""
         blocked = self.blocked_threads()
         return {
             "time_ps": self._now,
-            "events_processed": events_processed,
+            "events": self._seq,
             "queue_depth": self._queued_events(),
             "live_threads": len(blocked),
             "blocked": blocked[:16],
@@ -331,78 +261,57 @@ class Simulator:
                 f"cannot schedule in the past (delay={time - self._now})"
             )
 
-    def run(
-        self,
-        until: Optional[int] = None,
-        max_events: Optional[int] = None,
-        watchdog: Optional[StallWatchdog] = None,
-    ) -> int:
+    def run(self, until: Optional[int] = None) -> int:
         """Drain the event queue; return the final simulation time.
 
-        ``until`` bounds simulated time; ``max_events`` guards against
-        runaway simulations: the run may complete in *exactly*
-        ``max_events`` events, and :class:`SimulationError` is raised only
-        when one more in-horizon event would exceed the budget.  Whether
-        the queue empties before the horizon or not, the clock lands on
-        ``until`` (never moving backwards), so time-based rate
-        denominators are consistent across both cases.
+        ``until`` bounds simulated time.  Whether the queue empties
+        before the horizon or not, the clock lands on ``until`` (never
+        moving backwards), so time-based rate denominators are
+        consistent across both cases.
 
-        ``watchdog`` (default: the process-wide one armed via
-        :func:`install_watchdog`, if any) adds no-progress detection: a
-        wall-clock budget enforced every ``check_interval_events``
-        events (:class:`~repro.errors.SimStallError` with a diagnostic
-        snapshot).
+        A spec's wall-clock budget is the sweep harness's SIGALRM
+        (:func:`repro.experiments.runner.supervised_call`).  Its
+        :class:`~repro.errors.SpecTimeoutError`, raised in the middle of
+        the loop, leaves as :class:`~repro.errors.SimStallError` carrying
+        :meth:`snapshot`, so a hung simulation names its blocked threads.
         """
-        if watchdog is None:
-            watchdog = _ACTIVE_WATCHDOG
-        processed = 0
         trace = self.trace
         tracing = trace.enabled
-        check_every = (
-            watchdog.check_interval_events
-            if watchdog is not None and watchdog.deadline is not None
-            else 0
-        )
-        # hot loop: loop invariants live in locals, the horizon/budget
-        # guards compare against +inf sentinels, and watchdog polling is
-        # amortized onto a next-check threshold
+        # hot loop: loop invariants live in locals, and the horizon guard
+        # compares against a +inf sentinel
         queue = self._queue
         lane = self._lane
         pop = heapq.heappop
         popleft = lane.popleft
         horizon = until if until is not None else _NO_BOUND
-        budget = max_events if max_events is not None else _NO_BOUND
-        next_check = check_every if check_every else _NO_BOUND
         now = self._now
         if now <= horizon:  # until < now: nothing may run, lane included
-            while True:
-                if queue and queue[0][0] <= now:
-                    pass  # a heap entry due now precedes the whole lane
-                elif lane:
-                    if processed >= budget:
-                        raise SimulationError(f"exceeded max_events={max_events}")
-                    callback, arg = popleft()
-                    callback(arg)
-                    processed += 1
-                    if processed >= next_check:
-                        watchdog.check(self, processed)
-                        next_check += check_every
-                    continue
-                elif queue and queue[0][0] <= horizon:
-                    # nothing left at now: advance to the next heap time
-                    self._now = now = queue[0][0]
-                    if tracing:
-                        trace.on_time_advance(now)
-                else:
-                    break
-                if processed >= budget:
-                    raise SimulationError(f"exceeded max_events={max_events}")
-                entry = pop(queue)
-                entry[2](entry[3])
-                processed += 1
-                if processed >= next_check:
-                    watchdog.check(self, processed)
-                    next_check += check_every
+            try:
+                while True:
+                    if queue and queue[0][0] <= now:
+                        pass  # a heap entry due now precedes the whole lane
+                    elif lane:
+                        callback, arg = popleft()
+                        callback(arg)
+                        continue
+                    elif queue and queue[0][0] <= horizon:
+                        # nothing left at now: advance to the next heap time
+                        self._now = now = queue[0][0]
+                        if tracing:
+                            trace.on_time_advance(now)
+                    else:
+                        break
+                    entry = pop(queue)
+                    entry[2](entry[3])
+            except SpecTimeoutError as exc:
+                snapshot = self.snapshot()
+                raise SimStallError(
+                    f"simulation exceeded its wall-clock budget at "
+                    f"t={self._now}ps ({snapshot['events']} events, "
+                    f"{snapshot['queue_depth']} queued, "
+                    f"{snapshot['live_threads']} live threads)",
+                    snapshot=snapshot,
+                ) from exc
         if until is not None and until > self._now:
             self._now = until
             if self.trace.enabled:

@@ -71,11 +71,6 @@ class BandwidthResource:
         self._background = fraction
         self.bytes_per_ns = nominal * (1.0 - fraction)
 
-    @property
-    def background_load(self) -> float:
-        """The configured constant background fraction."""
-        return self._background
-
     def occupancy(self, horizon_ps: Optional[int] = None) -> float:
         """Fraction of time the medium was busy over ``horizon_ps`` (or now).
 
@@ -85,10 +80,6 @@ class BandwidthResource:
         if horizon <= 0:
             return min(1.0, self._background)
         return min(1.0, self._background + self.busy_ps / horizon)
-
-    def queue_delay(self) -> int:
-        """How long a transfer arriving now would wait before starting."""
-        return max(0, self._free_at - self.sim.now)
 
     def transfer(self, nbytes: int, extra_ps: int = 0) -> SimEvent:
         """Reserve the medium for ``nbytes``; returns the completion event.

@@ -147,11 +147,16 @@ def test_cli_trace_emits_valid_chrome_trace(tmp_path, capsys):
 # -- supervision flags and the dead-letter / interrupt paths -------------------------
 
 
-def test_supervision_flags_are_validated():
+def test_supervision_flags_are_validated(capsys):
     with pytest.raises(SystemExit):
         main(["fig11", "--retries", "-1"])
-    with pytest.raises(SystemExit):
-        main(["fig11", "--spec-timeout", "0"])
+    # zero, and values the alarm cannot arm: run, each would fail every
+    # spec and persist it as a dead letter
+    for timeout in ("0", "nan", "inf", "1e10"):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fig16", "--size", "tiny", "--no-cache", "--spec-timeout", timeout])
+        assert excinfo.value.code == 2
+        assert "--spec-timeout" in capsys.readouterr().err
 
 
 def test_supervision_flags_configure_the_runner(tmp_path, capsys, monkeypatch):

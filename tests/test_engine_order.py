@@ -13,9 +13,10 @@ programs run as generator processes — the referee's own on its side,
 zero-delay and at-now callbacks, waits on fired events and finished
 processes, ``then`` continuations, ``Join`` countdowns and plain
 callbacks on fired, failing and shared events, ``AllOf`` with failures,
-``run(until=)`` segments (including ``until < now``), exact
-``max_events`` budgets and watchdog checks.  The callback order, clock
-values, final ``_seq``, return values and exceptions must be identical.
+``run(until=)`` segments (including ``until < now``) and failures that
+escape ``run`` with same-time work still on the lane.  The callback
+order, clock values, final ``_seq``, return values and exceptions must
+be identical.
 """
 
 import heapq
@@ -24,9 +25,8 @@ from typing import Any, List
 
 import pytest
 
-from repro.errors import SimStallError, SimulationError
+from repro.errors import SimulationError
 from repro.sim import engine
-from repro.sim.engine import StallWatchdog
 from tests import genproc
 
 # -- the referee: one heap push per schedule, closures ------------------------------
@@ -202,13 +202,6 @@ class Simulator:
     def _queued_events(self):
         return len(self._queue)
 
-    def snapshot(self, events_processed=0):
-        return {
-            "time_ps": self._now,
-            "events_processed": events_processed,
-            "queue_depth": self._queued_events(),
-        }
-
     def event(self, name=""):
         return SimEvent(self, name=name)
 
@@ -230,26 +223,15 @@ class Simulator:
         self._seq += 1
         heapq.heappush(self._queue, (self._now, self._seq, callback, arg))
 
-    def run(self, until=None, max_events=None, watchdog=None):
-        processed = 0
-        check_every = (
-            watchdog.check_interval_events
-            if watchdog is not None and watchdog.deadline is not None
-            else 0
-        )
+    def run(self, until=None):
         queue = self._queue
         while queue:
             time = queue[0][0]
             if until is not None and time > until:
                 break
-            if max_events is not None and processed >= max_events:
-                raise SimulationError(f"exceeded max_events={max_events}")
             entry = heapq.heappop(queue)
             self._now = time
             entry[2](entry[3])
-            processed += 1
-            if check_every and processed % check_every == 0:
-                watchdog.check(self, processed)
         if until is not None and until > self._now:
             self._now = until
         return self._now
@@ -327,11 +309,9 @@ class World:
         for i in range(rng.randint(0, 4)):
             self.sim.schedule(rng.choice((0, 1, 5, 12)), self.note, f"raw{i}")
         self.horizons = sorted(rng.sample(range(0, 40), 4))
-        self.check_every = rng.randint(3, 9)
-        self.abort_at = rng.choice((None, 2, 5))
         #: how often the rarer paths were hit (coverage only, not logged)
         self.seen = dict.fromkeys(
-            ("fired_wait", "finished_wait", "mid_lane_check", "lane_behind_horizon",
+            ("fired_wait", "finished_wait", "mid_lane_raise", "lane_behind_horizon",
              "fired_then", "failed_then", "shared_event", "pending_join"), 0
         )
         #: event index -> kinds registered on it while untriggered
@@ -460,12 +440,13 @@ class World:
             log.append((sim.now, pid, n, op, outcome))
         return ("ret", pid)
 
-    def run(self, watchdog=None, **kwargs):
+    def run(self, **kwargs):
         """One ``run`` call; logs how it ended.  True if it returned."""
         sim = self.sim
         try:
-            end = sim.run(watchdog=watchdog, **kwargs)
+            end = sim.run(**kwargs)
         except Exception as exc:
+            self.seen["mid_lane_raise"] += bool(getattr(sim, "_lane", None))
             self.log.append(("raised", type(exc).__name__, str(exc), sim.now,
                              sim._seq, sim._queued_events()))
             return False
@@ -483,34 +464,16 @@ class World:
         }
 
 
-class RecordingWatchdog(StallWatchdog):
-    """Logs every periodic check and stalls the run at the ``abort_at``-th."""
-
-    def __init__(self, world):
-        super().__init__(wall_clock_limit_s=3600.0,
-                         check_interval_events=world.check_every)
-        self.world = world
-        self.calls = 0
-
-    def check(self, sim, processed):
-        self.calls += 1
-        self.world.seen["mid_lane_check"] += bool(getattr(sim, "_lane", None))
-        self.world.log.append(("check", processed, sim.now, sim._queued_events()))
-        if self.calls == self.world.abort_at:
-            raise SimStallError("stall probe", snapshot=sim.snapshot(processed))
-
-
 def drive(kernel, seed):
     world = World(kernel, seed)
-    watchdog = RecordingWatchdog(world)
     for horizon in world.horizons:
-        world.run(watchdog, until=horizon)
+        world.run(until=horizon)
         if world.sim.now > 0:
             # until < now: nothing may run, lane included
             world.seen["lane_behind_horizon"] += bool(getattr(world.sim, "_lane", None))
             world.run(until=world.sim.now - 1)
     for _ in range(64):  # resume after every escaping failure
-        if world.run(watchdog):
+        if world.run():
             break
     return world.outcome(), world.seen
 
@@ -534,7 +497,7 @@ def test_programs_reach_the_interesting_paths():
         for key, count in seen.items():
             seen_total[key] = seen_total.get(key, 0) + count
         for entry in outcome["log"]:
-            if entry[0] in ("check", "ran"):
+            if entry[0] == "ran":
                 kinds.add(entry[0])
             elif entry[0] == "raised":
                 kinds.add(entry[1])
@@ -542,30 +505,9 @@ def test_programs_reach_the_interesting_paths():
                 kinds.add(entry[1])
             elif isinstance(entry[4], tuple) and entry[4][0] == "exc":
                 kinds.add(("exc", entry[4][1]))
-    # waits on fired events and finished processes, watchdog checks with
-    # same-time work pending, past horizons with the lane non-empty, and
-    # joins that waited on a branch
+    # waits on fired events and finished processes, failures escaping
+    # with same-time work pending, past horizons with the lane non-empty,
+    # and joins that waited on a branch
     assert all(count > 0 for count in seen_total.values()), seen_total
-    assert {"check", "ran", "cb", "join"} <= kinds
-    assert {"SimStallError", "ValueError", ("exc", "ValueError")} <= kinds
-
-
-@pytest.mark.parametrize("seed", range(12))
-def test_exact_max_events_budget(seed):
-    reference = World(_Referee, seed, chaos=False)
-    reference.sim.run()
-    total = reference.sim._seq  # every scheduled callback ran exactly once
-    expected = reference.log[:]
-
-    for kernel in KERNELS.values():
-        world = World(kernel, seed, chaos=False)
-        world.sim.run(max_events=total)  # exactly the budget: no error
-        assert world.log == expected
-
-        world = World(kernel, seed, chaos=False)
-        with pytest.raises(SimulationError, match=f"max_events={total - 1}"):
-            world.sim.run(max_events=total - 1)
-        assert world.sim._queued_events() == 1
-        world.sim.run()
-        assert world.log == expected
-        assert world.sim._seq == total
+    assert {"ran", "cb", "join"} <= kinds
+    assert {"ValueError", ("exc", "ValueError")} <= kinds

@@ -5,8 +5,8 @@ loop, which ran every scenario under both that loop and the per-event
 heap loop and asserted equality.  Both loops are gone; the engine now
 has one heap-plus-lane loop (DESIGN.md §14).  Each probe instead checks
 it against digests recorded under the two-loop kernel: callback order,
-clock values, event counts, error behaviour, run results and trace
-streams must stay byte-identical, which is what lets
+clock values, event counts, run results and trace streams must stay
+byte-identical, which is what lets
 :data:`repro.results_cache.CODE_VERSION` stay unchanged.
 """
 
@@ -15,7 +15,6 @@ import json
 
 import pytest
 
-from repro.errors import SimulationError
 from repro.experiments.runner import RunSpec, execute_spec
 from repro.sim import BandwidthResource, Simulator
 from tests.genproc import AllOf, Process
@@ -116,21 +115,6 @@ def test_until_segments_match_single_shot():
     sim.run()
     assert _sha(repr(log)) == PROBE_LOG_SHA
     assert sim.now == PROBE_END_PS
-
-
-def test_max_events_budget_parity():
-    # a run completing in exactly max_events events must NOT raise
-    sim, log = _probe_sim()
-    sim.run(max_events=PROBE_EVENTS)
-    assert _sha(repr(log)) == PROBE_LOG_SHA
-
-    # one short of the budget must raise, and the queue must stay
-    # consistent enough to resume to the identical final state
-    sim, log = _probe_sim()
-    with pytest.raises(SimulationError):
-        sim.run(max_events=PROBE_EVENTS - 1)
-    sim.run()
-    assert _sha(repr(log)) == PROBE_LOG_SHA
 
 
 def test_non_monotone_timers_preserve_global_order():

@@ -1,16 +1,21 @@
 """Supervised-sweep suite: incremental checkpointing, retry/quarantine,
-per-spec timeouts with engine diagnosis, pool respawn, serial
-degradation, and KeyboardInterrupt flush semantics."""
+the per-spec alarm with engine diagnosis, pool respawn without retries
+in the parent, and KeyboardInterrupt flush semantics."""
 
 import itertools
-import multiprocessing
+import json
 import os
+import subprocess
+import sys
+import textwrap
+import threading
 import time
+from pathlib import Path
 
 import pytest
 
 from repro.config import SystemConfig
-from repro.errors import SweepExecutionError
+from repro.errors import ConfigError, SweepExecutionError
 from repro.experiments.runner import DeadLetter, RunSpec, SweepRunner
 from repro.nmp.system import NMPSystem
 from repro.results_cache import ResultsCache
@@ -55,24 +60,16 @@ def worker_killer_execute(spec):
     return fake_result(spec)
 
 
-def worker_only_killer_execute(spec):
-    if spec.seed == BAD_SEED:
-        if multiprocessing.parent_process() is not None:
-            os._exit(17)  # in a pool worker: die hard
-        raise RuntimeError("injected crash (serial fallback)")
-    return fake_result(spec)
-
-
 def sleepy_execute(spec):
     if spec.seed == BAD_SEED:
-        time.sleep(30.0)  # hang *outside* the simulator: SIGALRM backstop
+        time.sleep(30.0)  # hang *outside* the simulator: the alarm's own error
     return fake_result(spec)
 
 
 def stuck_sim_execute(spec):
     if spec.seed == BAD_SEED:
         # livelock: the kernel's one thread computes forever, so the event
-        # queue never drains; the armed StallWatchdog must cut this off
+        # queue never drains; the alarm must cut this off inside the loop
         NMPSystem(SystemConfig.named("4D-2C")).run([lambda: itertools.repeat(Compute(100))])
     return fake_result(spec)
 
@@ -234,7 +231,7 @@ def test_timeout_inside_simulator_reports_blocked_processes(tmp_path):
     assert "dimm0.core0.t0 <- delay " in letter.diagnosis  # names the hung thread
 
 
-# -- worker crashes: respawn and degradation -----------------------------------------
+# -- worker crashes: respawn, never a retry in the parent ----------------------------
 
 
 def test_worker_crash_respawns_pool_and_quarantines_only_the_killer(tmp_path):
@@ -258,22 +255,43 @@ def test_worker_crash_respawns_pool_and_quarantines_only_the_killer(tmp_path):
         assert cache.get(specs[i].cache_key()) is not None
 
 
-def test_repeated_pool_deaths_degrade_to_serial(tmp_path):
-    specs = grid(5, bad_at=2)
-    runner = SweepRunner(
-        jobs=2,
-        cache=ResultsCache(tmp_path),
-        execute=worker_only_killer_execute,
-        retries=1,
-        strict=False,
-        max_pool_respawns=0,  # first breakage forces the serial fallback
+def test_worker_killer_never_reruns_in_the_parent():
+    """Every attempt of a worker-killing spec runs in a pool worker, so a
+    budget of four attempts costs four pool breaks and never the parent
+    process.  The sweep runs in a subprocess: a retry in the parent would
+    kill it with the killer's exit code 17."""
+    root = Path(__file__).resolve().parent.parent
+    script = textwrap.dedent(
+        """
+        import json
+        from repro.experiments.runner import SweepRunner
+        from tests.test_runner_supervision import grid, worker_killer_execute
+
+        runner = SweepRunner(
+            jobs=2, use_cache=False, execute=worker_killer_execute,
+            retries=3, strict=False,
+        )
+        results = runner.run(grid(7, bad_at=3))
+        print(json.dumps({
+            "ok": [result is not None for result in results],
+            "letters": [
+                [letter.spec.seed, letter.attempts, letter.error]
+                for letter in runner.dead_letters
+            ],
+        }))
+        """
     )
-    results = runner.run(specs)
-    assert results[2] is None
-    assert all(results[i] is not None for i in (0, 1, 3, 4))
-    assert len(runner.dead_letters) == 1
-    # the fallback ran the killer in-process, where it fails softly
-    assert "injected crash (serial fallback)" in runner.dead_letters[0].error
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        cwd=root, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["ok"] == [index != 3 for index in range(7)]
+    [[seed, attempts, error]] = report["letters"]
+    assert (seed, attempts) == (BAD_SEED, 4)
+    assert "worker process died" in error
 
 
 # -- equivalence guarantees stay intact ----------------------------------------------
@@ -296,12 +314,46 @@ def test_fault_free_supervised_run_matches_unsupervised(tmp_path):
 
 
 def test_validation_rejects_bad_supervision_parameters():
-    from repro.errors import ConfigError
-
     with pytest.raises(ConfigError):
         SweepRunner(retries=-1)
-    with pytest.raises(ConfigError):
-        SweepRunner(spec_timeout=0.0)
+    # setitimer rejects NaN, infinity and 1e10 s, so each would fail (and
+    # quarantine) every spec the moment its alarm is armed
+    for timeout in (0.0, float("nan"), float("inf"), 1e10):
+        with pytest.raises(ConfigError, match="spec_timeout"):
+            SweepRunner(spec_timeout=timeout)
+
+
+def test_a_timeout_without_sigalrm_is_refused(monkeypatch):
+    import signal
+
+    monkeypatch.delattr(signal, "SIGALRM")
+    with pytest.raises(ConfigError, match="SIGALRM"):
+        SweepRunner(spec_timeout=1.0)
+    SweepRunner()  # no timeout, nothing to arm
+
+
+def test_a_timed_serial_batch_off_the_main_thread_is_refused_before_any_spec():
+    calls = []
+
+    def spy(spec):
+        calls.append(spec)
+        return fake_result(spec)
+
+    runner = SweepRunner(execute=spy, use_cache=False, spec_timeout=5.0)
+    raised = []
+
+    def sweep():
+        try:
+            runner.run(grid(2))
+        except ConfigError as exc:
+            raised.append(exc)
+
+    worker = threading.Thread(target=sweep)
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    assert len(raised) == 1 and "main thread" in str(raised[0])
+    assert calls == [] and runner.dead_letters == []
 
 
 def slow_interrupt_execute(spec):

@@ -2,10 +2,11 @@
 generator runtime the referee tests run on (tests/genproc.py)."""
 
 import itertools
+import signal
 
 import pytest
 
-from repro.errors import DeadlockError, SimulationError
+from repro.errors import DeadlockError, SimStallError, SimulationError, SpecTimeoutError
 from repro.nmp.executor import ThreadExecutor, run_threads
 from repro.sim import Join, Simulator, StatRegistry
 from repro.sim.time import ns
@@ -184,17 +185,6 @@ def test_yield_on_already_triggered_event():
     assert _run_process(sim, proc()) == "early"
 
 
-def test_max_events_guard():
-    sim = Simulator()
-
-    def rearm(_):
-        sim.schedule(1, rearm)
-
-    sim.schedule(1, rearm)
-    with pytest.raises(SimulationError):
-        sim.run(max_events=100)
-
-
 def test_deadlocked_process_detected():
     # a thread whose barrier never releases is still live when the queue
     # drains: run_threads names it, and what it waits on
@@ -295,7 +285,7 @@ def test_allof_child_failure_throws_first_failure():
     assert _run_process(sim, proc()) == 5
 
 
-# -- stall watchdog / deadlock diagnosis ---------------------------------------------
+# -- stall and deadlock diagnosis ----------------------------------------------------
 
 
 def test_blocked_processes_describe_their_wait_targets():
@@ -319,60 +309,28 @@ def test_blocked_processes_describe_their_wait_targets():
 
 
 def test_wall_clock_stall_raises_with_snapshot():
-    from repro.errors import SimStallError
-    from repro.sim import StallWatchdog
+    """The sweep harness's alarm, fired inside ``run``, leaves as a stall
+    naming every blocked thread and what it waits on."""
+
+    def alarm(signum, frame):
+        raise SpecTimeoutError("budget spent")
 
     sim = Simulator()
     _Core(sim, "spinner").run_thread(0, itertools.repeat(Compute(1)))
-    watchdog = StallWatchdog(wall_clock_limit_s=0.05, check_interval_events=64)
-    with pytest.raises(SimStallError) as excinfo:
-        sim.run(watchdog=watchdog)
+    previous = signal.signal(signal.SIGALRM, alarm)
+    signal.setitimer(signal.ITIMER_REAL, 0.05)
+    try:
+        with pytest.raises(SimStallError) as excinfo:
+            sim.run()
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+    assert isinstance(excinfo.value.__cause__, SpecTimeoutError)
     snapshot = excinfo.value.snapshot
     assert snapshot["time_ps"] == sim.now
-    assert snapshot["events_processed"] > 0
+    assert snapshot["events"] == sim._seq > 0
     assert snapshot["live_threads"] == 1
     assert snapshot["blocked"] == [("spinner.t0", "delay 1000ps")]
-
-
-def test_process_wide_watchdog_install_and_clear():
-    from repro.errors import SimStallError
-    from repro.sim import StallWatchdog, clear_watchdog, install_watchdog
-
-    sim = Simulator()
-    _Core(sim, "spinner").run_thread(0, itertools.repeat(Compute(1)))
-    install_watchdog(StallWatchdog(wall_clock_limit_s=0.05, check_interval_events=64))
-    try:
-        with pytest.raises(SimStallError):
-            sim.run()  # picks up the installed watchdog implicitly
-    finally:
-        clear_watchdog()
-    # disarmed: 100 more events run past the spent budget's check interval
-    horizon = sim.now + ns(100)
-    assert sim.run(until=horizon) == horizon
-
-
-def test_watchdog_rejects_nonpositive_budget():
-    from repro.sim import StallWatchdog
-
-    with pytest.raises(SimulationError):
-        StallWatchdog(wall_clock_limit_s=0.0)
-
-
-def test_max_events_exact_budget_completes():
-    # a run finishing in exactly max_events events is within budget: the
-    # guard fires only when one MORE in-horizon event would exceed it
-    sim = Simulator()
-    fired = []
-    for i in range(10):
-        sim.schedule(i + 1, fired.append, i)
-    assert sim.run(max_events=10) == 10
-    assert fired == list(range(10))
-
-    sim = Simulator()
-    for i in range(10):
-        sim.schedule(i + 1, fired.append, i)
-    with pytest.raises(SimulationError):
-        sim.run(max_events=9)
 
 
 # -- non-Exception BaseExceptions abort the run ----------------------------------------
