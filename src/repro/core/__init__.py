@@ -3,17 +3,7 @@
 from repro.core.bridge import DLBridge
 from repro.core.controller import DLController, DLControllerTiming
 from repro.core.dimmlink import DIMMLinkIDC
-from repro.core.routing import (
-    INTER_GROUP_BC,
-    INTER_GROUP_P2P,
-    INTRA_GROUP_BC,
-    INTRA_GROUP_P2P,
-    BroadcastPlan,
-    P2PPlan,
-    distance,
-    plan_broadcast,
-    plan_p2p,
-)
+from repro.core.routing import distance
 from repro.core.serdes import GRS, RIBBON_CABLE, SMA_CABLE, SerDesTech, table2, tech
 from repro.core.sync import SYNC_MODES, SyncManager
 
@@ -22,15 +12,7 @@ __all__ = [
     "DLController",
     "DLControllerTiming",
     "DIMMLinkIDC",
-    "INTER_GROUP_BC",
-    "INTER_GROUP_P2P",
-    "INTRA_GROUP_BC",
-    "INTRA_GROUP_P2P",
-    "BroadcastPlan",
-    "P2PPlan",
     "distance",
-    "plan_broadcast",
-    "plan_p2p",
     "GRS",
     "RIBBON_CABLE",
     "SMA_CABLE",

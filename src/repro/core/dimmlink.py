@@ -1,6 +1,6 @@
 """The DIMM-Link IDC mechanism (the paper's contribution, Sec. III).
 
-Executes the hybrid-routing plans on the event simulator:
+Executes hybrid routing (Sec. III-C, Fig. 5) on the event simulator:
 
 * intra-group transfers move as DL packets over the group's bridge
   network (packetize -> route -> decode -> local DRAM at the far end),
@@ -38,7 +38,6 @@ from __future__ import annotations
 
 from repro.core.bridge import DLBridge
 from repro.core.controller import DLController
-from repro.core.routing import distance
 from repro.idc.base import IDCMechanism
 from repro.protocol.packet import FLIT_BYTES
 from repro.sim.engine import Join, SimEvent
@@ -415,9 +414,6 @@ class DIMMLinkIDC(IDCMechanism):
     def _message_done(self, op: _Op) -> None:
         self.stats.add("idc.messages")
         op.done.succeed(op.nbytes)
-
-    def hop_distance(self, src_dimm: int, dst_dimm: int) -> float:
-        return distance(self._require_system().config, src_dimm, dst_dimm)
 
     def finalize_stats(self) -> None:
         self.stats.set("dl.link_availability_min", self.bridge.finalize_stats())

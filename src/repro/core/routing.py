@@ -1,90 +1,21 @@
-"""Hybrid routing plans (Sec. III-C, Fig. 5).
+"""The Algorithm 1 distance function over the hybrid-routing media.
 
-Pure planning logic — given the system configuration, classify a transfer
-into one of the four IDC patterns and describe the media it will cross:
-
-* (a) intra-group P2P: DIMM-Link hops only,
-* (b) inter-group P2P: host CPU forwarding,
-* (c) intra-group broadcast: DL flood along the group's broadcast tree,
-* (d) inter-group broadcast: host forward to a gateway DIMM per remote
-  group, then intra-group floods.
-
-The :class:`~repro.core.dimmlink.DIMMLinkIDC` mechanism executes these
-plans on the event simulator; keeping the planning pure makes the routing
-rules independently testable.
+A transfer between two DIMMs of one DL group crosses the group's bridge
+links (Fig. 5-(a)); a transfer between groups is forwarded by the host
+CPU (Fig. 5-(b)).  :func:`distance` prices the two for the
+distance-aware mapper; :class:`~repro.core.dimmlink.DIMMLinkIDC` routes
+the transfers themselves.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List
-
 from repro.config import SystemConfig
 from repro.interconnect.topology import Topology
-
-#: patterns of Fig. 5.
-INTRA_GROUP_P2P = "intra_group_p2p"
-INTER_GROUP_P2P = "inter_group_p2p"
-INTRA_GROUP_BC = "intra_group_broadcast"
-INTER_GROUP_BC = "inter_group_broadcast"
 
 #: relative distance charged for a host-forwarded (inter-group) transfer
 #: by the distance-aware mapper; calibrated from the ratio of profiled
 #: forwarding latency (~1 us) to per-hop DL latency (~12 ns) as in Sec. V-B.
 INTER_GROUP_DISTANCE = 40.0
-
-
-@dataclass(frozen=True)
-class P2PPlan:
-    """Route description for one point-to-point transfer."""
-
-    kind: str
-    src: int
-    dst: int
-    #: DL hops inside the (shared) group; 0 for inter-group transfers.
-    dl_hops: int
-    #: whether the host CPU must forward the payload.
-    forwarded: bool
-
-
-@dataclass(frozen=True)
-class BroadcastPlan:
-    """Route description for a system-wide broadcast."""
-
-    src: int
-    kind: str
-    #: gateway DIMM (group master) per remote group, in group order.
-    gateways: List[int] = field(default_factory=list)
-
-
-def plan_p2p(config: SystemConfig, src: int, dst: int) -> P2PPlan:
-    """Classify and plan a P2P transfer (Fig. 5-(a)/(b))."""
-    src_group = config.group_of(src)
-    dst_group = config.group_of(dst)
-    if src_group == dst_group:
-        group = config.groups[src_group]
-        topology = Topology(config.topology, len(group))
-        hops = (
-            0
-            if src == dst
-            else topology.hops(group.index(src), group.index(dst))
-        )
-        return P2PPlan(
-            kind=INTRA_GROUP_P2P, src=src, dst=dst, dl_hops=hops, forwarded=False
-        )
-    return P2PPlan(kind=INTER_GROUP_P2P, src=src, dst=dst, dl_hops=0, forwarded=True)
-
-
-def plan_broadcast(config: SystemConfig, src: int) -> BroadcastPlan:
-    """Classify and plan a broadcast (Fig. 5-(c)/(d))."""
-    src_group = config.group_of(src)
-    gateways = [
-        config.master_dimm(g)
-        for g in range(len(config.groups))
-        if g != src_group
-    ]
-    kind = INTRA_GROUP_BC if not gateways else INTER_GROUP_BC
-    return BroadcastPlan(src=src, kind=kind, gateways=gateways)
 
 
 def distance(config: SystemConfig, a: int, b: int) -> float:
@@ -95,7 +26,9 @@ def distance(config: SystemConfig, a: int, b: int) -> float:
     """
     if a == b:
         return 0.0
-    plan = plan_p2p(config, a, b)
-    if plan.forwarded:
+    group_index = config.group_of(a)
+    if group_index != config.group_of(b):
         return INTER_GROUP_DISTANCE
-    return float(plan.dl_hops)
+    group = config.groups[group_index]
+    topology = Topology(config.topology, len(group))
+    return float(topology.hops(group.index(a), group.index(b)))

@@ -38,7 +38,8 @@ class SimStallError(SimulationError):
     Raised by ``Simulator.run`` when the sweep harness's alarm
     (:class:`SpecTimeoutError`, its ``__cause__``) fires inside the event
     loop; ``snapshot`` is a diagnostic dict (simulated time, event count,
-    queue depth, blocked threads) captured at that moment.
+    queue depth, blocked threads, the callback it interrupted) captured
+    at that moment.
     """
 
     def __init__(self, message: str, snapshot=None) -> None:

@@ -12,8 +12,8 @@ cache misses out over N worker processes, and finished results persist
 under ``--cache-dir`` (default ``.dimmlink-cache``) so re-runs — and
 grid points shared between figures — skip simulation entirely.  The
 ``cache.hits``/``cache.misses`` line printed after each command reports
-how much work the cache absorbed; ``--no-cache`` forces every point to
-re-simulate.
+how much work the cache absorbed; ``--no-cache`` (or an empty
+``--cache-dir``) forces every point to re-simulate.
 
 Sweeps are *supervised*: every finished grid point is checkpointed to
 the cache the moment it completes, so an interrupted run (Ctrl-C, OOM
@@ -22,11 +22,9 @@ resumes from the cache.  Failing points are retried (``--retries``,
 capped exponential backoff) and quarantined into a dead-letter report
 instead of aborting the sweep; ``--spec-timeout`` arms one alarm per
 attempt, in the process that runs the point, and reports *where* a hung
-simulation was stuck.
-Quarantined specs persist to ``dead_letters.json`` in the cache
-directory, so reruns skip known-bad points without burning their retry
-budget again; ``--retry-dead-letter`` re-attempts them and clears the
-record on success.
+simulation was stuck.  A quarantine lasts one run: the cache directory
+holds only results, so a rerun simulates every point the cache lacks,
+quarantined ones included.
 """
 
 from __future__ import annotations
@@ -165,12 +163,6 @@ def main(argv=None) -> int:
         help="per-grid-point wall-clock budget; a hung simulation is "
         "cut off and reported with its blocked threads (default: none)",
     )
-    parser.add_argument(
-        "--retry-dead-letter",
-        action="store_true",
-        help="re-attempt grid points the persisted dead-letter list marks "
-        "as known-bad (default: skip them without re-simulating)",
-    )
     args = parser.parse_args(argv)
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
@@ -194,14 +186,13 @@ def main(argv=None) -> int:
         parser.error("a second positional is only valid with the 'trace' command")
 
     previous_runner = sweep_runner.get_runner()
-    grid_runner = sweep_runner.configure(
+    grid_runner = sweep_runner.SweepRunner(
         jobs=args.jobs,
-        cache_dir=None if args.no_cache else args.cache_dir,
-        use_cache=not args.no_cache,
+        cache=None if args.no_cache else args.cache_dir or None,
         retries=args.retries,
         spec_timeout=args.spec_timeout,
-        retry_dead_letter=args.retry_dead_letter,
     )
+    sweep_runner.set_runner(grid_runner)
     interrupted = False
     failed_experiments = 0
     try:
@@ -251,12 +242,7 @@ def _print_cache_stats(grid_runner: "sweep_runner.SweepRunner") -> None:
     hits, misses = stats["cache.hits"], stats["cache.misses"]
     total = hits + misses
     rate = f" ({hits / total:.0%} hit rate)" if total else ""
-    skipped = (
-        f" dead_letter.skipped={grid_runner.skipped_dead}"
-        if grid_runner.skipped_dead
-        else ""
-    )
-    print(f"\n[cache] cache.hits={hits} cache.misses={misses}{rate}{skipped}")
+    print(f"\n[cache] cache.hits={hits} cache.misses={misses}{rate}")
 
 
 def _print_dead_letters(grid_runner: "sweep_runner.SweepRunner") -> None:

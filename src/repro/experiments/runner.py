@@ -22,18 +22,21 @@ loops could not:
   lost work.  Failed specs are retried with capped exponential backoff;
   specs that exhaust their budget are quarantined into a **dead-letter
   list** (:attr:`SweepRunner.dead_letters`) instead of aborting the
-  sweep.  Every attempt is one :func:`supervised_call` in the process
-  that runs the spec: it sleeps the attempt's backoff and arms the one
-  per-spec timeout, a SIGALRM that a hung simulation answers with its
-  blocked threads.  A worker death breaks the pool
+  sweep.  The quarantine lasts one run: every spec is deterministic, so
+  a rerun re-detects a failure by running the spec again.  Every
+  attempt is one :func:`supervised_call` in the process that runs the
+  spec: it sleeps the attempt's backoff and arms the one per-spec
+  timeout, a SIGALRM that a hung simulation answers with its blocked
+  threads.  With ``jobs > 1`` every batch runs in a pool, so no spec
+  runs in the parent.  A worker death breaks the pool
   (:class:`~concurrent.futures.process.BrokenProcessPool`): every
   attempt in flight is charged, and the specs left in budget go to a
-  fresh pool.  No spec is ever retried in the parent of a pool.
+  fresh pool.
 
-The CLI configures a process-wide default runner (:func:`configure`);
-experiments call :func:`run_specs` and inherit its jobs/cache settings.
-Library callers that never configure anything get the safe default:
-serial execution, no cache.
+The CLI installs its runner as the process-wide default
+(:func:`set_runner`); experiments call :func:`run_specs` and inherit its
+jobs/cache settings.  Library callers that install nothing get the safe
+default: serial execution, no cache.
 """
 
 from __future__ import annotations
@@ -66,7 +69,6 @@ from repro.experiments.common import (
     run_cpu,
     threads_for,
 )
-from repro.experiments.deadletter import DeadLetterStore
 from repro.faults import FaultSchedule, LinkDown
 from repro.host.cpu import HostCPUSystem
 from repro.interconnect.topology import Topology
@@ -546,7 +548,8 @@ def _diagnose(exc: BaseException) -> str:
         lines = [
             f"stalled at t={exc.snapshot.get('time_ps', '?')}ps, "
             f"queue_depth={exc.snapshot.get('queue_depth', '?')}, "
-            f"live_threads={exc.snapshot.get('live_threads', '?')}"
+            f"live_threads={exc.snapshot.get('live_threads', '?')}, "
+            f"interrupted={exc.snapshot.get('interrupted', '?')}"
         ]
         lines += [f"  {name} <- {waiting}" for name, waiting in blocked]
         return "\n".join(lines)
@@ -590,13 +593,10 @@ class SweepRunner:
         self,
         jobs: int = 1,
         cache: Optional[Union[ResultsCache, str]] = None,
-        use_cache: bool = True,
         execute: Callable[[RunSpec], RunResult] = execute_spec,
         retries: int = 1,
         spec_timeout: Optional[float] = None,
         strict: bool = True,
-        dead_letter_store: Optional[Union[DeadLetterStore, str]] = None,
-        retry_dead_letter: bool = False,
     ) -> None:
         if jobs < 1:
             raise ConfigError(f"jobs must be >= 1, got {jobs}")
@@ -604,8 +604,8 @@ class SweepRunner:
             raise ConfigError(f"retries must be >= 0, got {retries}")
         check_spec_timeout(spec_timeout)
         self.jobs = jobs
+        #: the results cache (``None``: every spec simulates, nothing persists).
         self.cache = ResultsCache(cache) if isinstance(cache, str) else cache
-        self.use_cache = use_cache and self.cache is not None
         self.execute = execute
         #: extra attempts granted to a failing spec before quarantine.
         self.retries = retries
@@ -617,24 +617,11 @@ class SweepRunner:
         #: ``None`` at the failed positions and the caller inspects
         #: :attr:`dead_letters`.
         self.strict = strict
-        #: persisted quarantine: a rerun skips specs recorded here unless
-        #: :attr:`retry_dead_letter` is set; fresh quarantines are written
-        #: through, and a skipped-then-retried spec that succeeds is
-        #: removed.
-        self.dead_letter_store = (
-            DeadLetterStore(dead_letter_store)
-            if isinstance(dead_letter_store, str)
-            else dead_letter_store
-        )
-        #: re-attempt specs the persisted store marks dead.
-        self.retry_dead_letter = retry_dead_letter
         #: specs served without simulating (disk hits + in-batch dedup).
         self.hits = 0
         #: specs handed to :attr:`execute`; the run memo of
         #: :func:`execute_spec` may serve some without simulating.
         self.misses = 0
-        #: specs skipped because the persisted store marks them dead.
-        self.skipped_dead = 0
         #: quarantined specs across every batch this runner executed.
         self.dead_letters: List[DeadLetter] = []
 
@@ -646,10 +633,9 @@ class SweepRunner:
     def run(self, specs: Sequence[RunSpec]) -> List[RunResult]:
         """Execute a batch; results are ordered exactly like ``specs``.
 
-        With caching enabled, each distinct spec simulates at most once
-        per batch (duplicates share the result) and not at all when a
-        warm cache entry exists.  With caching disabled every spec
-        simulates, unconditionally.
+        With a cache, each distinct spec simulates at most once per batch
+        (duplicates share the result) and not at all when a warm cache
+        entry exists.  Without one every spec simulates, unconditionally.
 
         Every completed spec is checkpointed to the cache *the moment it
         finishes*, so an interrupted batch (crash, ``KeyboardInterrupt``)
@@ -665,14 +651,15 @@ class SweepRunner:
         miss_specs: List[RunSpec] = []
         miss_keys: List[str] = []
 
-        if self.use_cache:
+        cache = self.cache
+        if cache is not None:
             pending: Dict[str, int] = {}  # key -> position in miss_specs
             for index, spec in enumerate(spec_list):
                 key = spec.cache_key()
                 if key in pending:  # in-batch duplicate: share the one run
                     targets[pending[key]].append(index)
                     continue
-                cached = self.cache.get(key)
+                cached = cache.get(key)
                 if cached is not None:
                     results[index] = cached
                     continue
@@ -685,61 +672,16 @@ class SweepRunner:
             miss_keys = [spec.cache_key() for spec in spec_list]
             targets = [[index] for index in range(len(spec_list))]
 
-        # known-bad specs from a previous run: skip without re-attempting
-        # (unless retry_dead_letter asks for another try)
-        skipped: List[DeadLetter] = []
-        skipped_indices = 0
-        store = self.dead_letter_store
-        if store is not None and not self.retry_dead_letter:
-            keep: List[int] = []
-            for pos, key in enumerate(miss_keys):
-                known = store.known(key)
-                if known is None:
-                    keep.append(pos)
-                    continue
-                skipped_indices += len(targets[pos])
-                skipped.append(
-                    DeadLetter(
-                        miss_specs[pos],
-                        key,
-                        int(known.get("attempts", 0)),
-                        "skipped: persisted dead-letter "
-                        f"({known.get('error', 'unknown failure')}); "
-                        "rerun with --retry-dead-letter to re-attempt",
-                        str(known.get("diagnosis", "")),
-                    )
-                )
-            if len(keep) != len(miss_keys):
-                miss_specs = [miss_specs[pos] for pos in keep]
-                miss_keys = [miss_keys[pos] for pos in keep]
-                targets = [targets[pos] for pos in keep]
-
         def checkpoint(pos: int, result: RunResult) -> None:
-            if self.use_cache:
-                self.cache.put(
-                    miss_keys[pos], result, spec=miss_specs[pos].to_json_dict()
-                )
-            if store is not None:
-                store.discard(miss_keys[pos])  # succeeded: no longer dead
+            if cache is not None:
+                cache.put(miss_keys[pos], result, spec=miss_specs[pos].to_json_dict())
             for index in targets[pos]:
                 results[index] = result
 
         failures = self._execute_supervised(miss_specs, miss_keys, checkpoint)
 
-        if store is not None:
-            for letter in failures:
-                store.record(
-                    letter.key,
-                    letter.spec.to_json_dict(),
-                    letter.attempts,
-                    letter.error,
-                    letter.diagnosis,
-                )
-
         self.misses += len(miss_specs)
-        self.hits += len(spec_list) - len(miss_specs) - skipped_indices
-        self.skipped_dead += len(skipped)
-        failures = skipped + failures
+        self.hits += len(spec_list) - len(miss_specs)
         if failures:
             self.dead_letters.extend(failures)
             if self.strict:
@@ -763,7 +705,7 @@ class SweepRunner:
         """Run every spec (at-most-once success each), return quarantines."""
         if not specs:
             return []
-        if self.jobs > 1 and len(specs) > 1:
+        if self.jobs > 1:
             return self._run_pool(specs, keys, checkpoint)
         # refused before any spec runs, so no spec is charged for it
         if (
@@ -892,51 +834,18 @@ class SweepRunner:
             raise
 
 
-# -- process-wide default runner (configured by the CLI) -----------------------------
+# -- process-wide default runner (installed by the CLI) ------------------------------
 
 _default_runner = SweepRunner()
 
 
-def configure(
-    jobs: int = 1,
-    cache_dir: Optional[str] = None,
-    use_cache: bool = True,
-    retries: int = 1,
-    spec_timeout: Optional[float] = None,
-    strict: bool = True,
-    retry_dead_letter: bool = False,
-) -> SweepRunner:
-    """Install (and return) the default runner experiments will use.
-
-    The dead-letter store lives next to the results cache: configuring a
-    cache directory makes quarantines persistent (reruns skip them), with
-    ``retry_dead_letter`` forcing a fresh attempt.
-    """
-    global _default_runner
-    cache = None
-    if cache_dir and use_cache:
-        cache = ResultsCache(cache_dir)
-    store = DeadLetterStore(cache.cache_dir) if cache is not None else None
-    _default_runner = SweepRunner(
-        jobs=jobs,
-        cache=cache,
-        use_cache=use_cache,
-        retries=retries,
-        spec_timeout=spec_timeout,
-        strict=strict,
-        dead_letter_store=store,
-        retry_dead_letter=retry_dead_letter,
-    )
-    return _default_runner
-
-
 def get_runner() -> SweepRunner:
-    """The currently configured default runner."""
+    """The currently installed default runner."""
     return _default_runner
 
 
 def set_runner(runner: SweepRunner) -> None:
-    """Install an already-built runner as the default (CLI restore path)."""
+    """Install ``runner`` as the default that :func:`run_specs` uses."""
     global _default_runner
     _default_runner = runner
 
@@ -944,5 +853,5 @@ def set_runner(runner: SweepRunner) -> None:
 def run_specs(
     specs: Sequence[RunSpec], runner: Optional[SweepRunner] = None
 ) -> List[RunResult]:
-    """Execute a spec batch on ``runner`` (default: the configured one)."""
+    """Execute a spec batch on ``runner`` (default: the installed one)."""
     return (runner or _default_runner).run(specs)

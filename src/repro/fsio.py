@@ -1,13 +1,13 @@
-"""Crash-safe file replacement shared by every durable store.
+"""Crash-safe file replacement for the results cache.
 
-The results cache and the dead-letter store persist state that must
-survive a process dying at *any* instruction — SIGKILL, OOM, power
-loss.  Both write through :func:`atomic_write_text`: content is written
-to a temp file in the destination directory, flushed and fsync'd, then
-:func:`os.replace`'d over the target, and the directory entry is
-fsync'd.  A reader never observes a partial file: it sees either the old
-content or the new content, and a crash mid-write leaves the old file
-untouched.
+The results cache (:mod:`repro.results_cache`), the one durable store,
+persists state that must survive a process dying at *any* instruction —
+SIGKILL, OOM, power loss.  It writes through :func:`atomic_write_text`:
+content is written to a temp file in the destination directory, flushed
+and fsync'd, then :func:`os.replace`'d over the target, and the
+directory entry is fsync'd.  A reader never observes a partial file: it
+sees either the old content or the new content, and a crash mid-write
+leaves the old file untouched.
 """
 
 from __future__ import annotations

@@ -89,13 +89,6 @@ class IDCMechanism(abc.ABC):
         arrival), skipping the polling-notice delay on forwarded paths.
         """
 
-    def hop_distance(self, src_dimm: int, dst_dimm: int) -> float:
-        """Relative communication distance used by distance-aware mapping.
-
-        Mechanisms without a locality notion return a flat metric.
-        """
-        return 0.0 if src_dimm == dst_dimm else 1.0
-
     def finalize_stats(self) -> None:
         """Flush end-of-run statistics (called once after the event loop).
 

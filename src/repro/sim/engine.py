@@ -274,6 +274,9 @@ class Simulator:
         :class:`~repro.errors.SpecTimeoutError`, raised in the middle of
         the loop, leaves as :class:`~repro.errors.SimStallError` carrying
         :meth:`snapshot`, so a hung simulation names its blocked threads.
+        The snapshot's ``interrupted`` is the qualified name of the
+        callback the alarm landed in, or ``None`` if it landed between
+        callbacks.
         """
         trace = self.trace
         tracing = trace.enabled
@@ -305,6 +308,16 @@ class Simulator:
                     entry[2](entry[3])
             except SpecTimeoutError as exc:
                 snapshot = self.snapshot()
+                # the frame below run's is the callback the alarm landed in;
+                # between callbacks it is the alarm handler's own, the frame
+                # that raised
+                below = exc.__traceback__.tb_next
+                interrupted = None
+                if below is not None and below.tb_next is not None:
+                    code = below.tb_frame.f_code
+                    # Python 3.10 has no co_qualname
+                    interrupted = getattr(code, "co_qualname", code.co_name)
+                snapshot["interrupted"] = interrupted
                 raise SimStallError(
                     f"simulation exceeded its wall-clock budget at "
                     f"t={self._now}ps ({snapshot['events']} events, "

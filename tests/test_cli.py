@@ -59,10 +59,13 @@ def test_cli_runs_sized_experiment(tmp_path, capsys):
     assert hits == 0 and misses > 0  # cold cache: everything simulated
 
 
-def test_cli_no_cache_reports_misses_and_writes_nothing(tmp_path, capsys):
-    assert main(["fig17", "--size", "tiny", "--no-cache"]) == 0
-    hits, misses = cache_stats(capsys.readouterr().out)
-    assert hits == 0 and misses > 0
+def test_cli_no_cache_reports_misses_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for flags in (["--no-cache"], ["--cache-dir", ""]):
+        assert main(["fig17", "--size", "tiny", *flags]) == 0
+        hits, misses = cache_stats(capsys.readouterr().out)
+        assert hits == 0 and misses > 0, flags
+    assert not any(tmp_path.iterdir())
 
 
 def test_cli_warm_cache_fig16_performs_zero_simulations(tmp_path, capsys):
@@ -150,8 +153,8 @@ def test_cli_trace_emits_valid_chrome_trace(tmp_path, capsys):
 def test_supervision_flags_are_validated(capsys):
     with pytest.raises(SystemExit):
         main(["fig11", "--retries", "-1"])
-    # zero, and values the alarm cannot arm: run, each would fail every
-    # spec and persist it as a dead letter
+    # zero, and values the alarm cannot arm: run, each would fail (and
+    # quarantine) every spec
     for timeout in ("0", "nan", "inf", "1e10"):
         with pytest.raises(SystemExit) as excinfo:
             main(["fig16", "--size", "tiny", "--no-cache", "--spec-timeout", timeout])
@@ -208,6 +211,36 @@ def test_quarantined_sweep_reports_dead_letters_and_fails(tmp_path, capsys, monk
     assert "injected crash" in out
     assert "attempts=2" in out
     assert "[cache]" in out  # the cache line still prints
+
+
+def test_a_quarantine_lasts_one_run(tmp_path, capsys, monkeypatch):
+    """A spec quarantined by one run is simulated by the next: the cache
+    directory holds only results, never a record of past failures."""
+    from repro.experiments import cli as cli_module
+    from repro.experiments import runner as sweep_runner
+    from tests.test_runner_supervision import crashy_execute, grid, ok_execute
+
+    specs = grid(1, bad_at=0)
+    executes = iter([crashy_execute, ok_execute])
+
+    def one_spec(size):
+        runner = sweep_runner.get_runner()
+        runner.execute = next(executes)
+        sweep_runner.run_specs(specs)
+
+    monkeypatch.setitem(cli_module._SIZED, "fig11", one_spec)
+    args = ["fig11", "--size", "tiny", "--cache-dir", str(tmp_path)]
+    assert main(args) == 1
+    out = capsys.readouterr().out
+    assert "[dead-letter] 1 spec(s) quarantined:" in out
+    assert "attempts=2" in out
+    assert not any(tmp_path.iterdir())
+
+    assert main(args) == 0
+    out = capsys.readouterr().out
+    assert "[dead-letter]" not in out
+    assert cache_stats(out) == (0, 1)
+    assert [p.name for p in tmp_path.iterdir()] == [f"{specs[0].cache_key()}.json"]
 
 
 def test_keyboard_interrupt_prints_partial_cache_line(tmp_path, capsys, monkeypatch):
@@ -287,8 +320,9 @@ def test_workload_suite_experiments_are_traceable_and_submittable():
 
 def test_serve_and_grid_commands_validate_endpoints(tmp_path, capsys, monkeypatch):
     """There is no socket service and no work broker: `serve`, `submit`
-    and `work` are not commands, and the broker's flags are usage errors
-    rather than options a local run would silently ignore."""
+    and `work` are not commands, and the broker's flags and the persisted
+    quarantine's `--retry-dead-letter` are usage errors rather than
+    options a local run would silently ignore."""
     monkeypatch.chdir(tmp_path)
     for command in ("serve", "submit", "work"):
         with pytest.raises(SystemExit) as exc:
@@ -302,6 +336,7 @@ def test_serve_and_grid_commands_validate_endpoints(tmp_path, capsys, monkeypatc
         ["--lease-ttl", "5"],
         ["--no-wait"],
         ["--forever"],
+        ["--retry-dead-letter"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(["mapping", "--size", "tiny", *flags])

@@ -1,20 +1,12 @@
-"""Tests for the DIMM-Link core package (bridge, routing plans, serdes,
-controller, and the DIMMLinkIDC mechanism)."""
+"""Tests for the DIMM-Link core package (bridge, distance function,
+serdes, controller, and the DIMMLinkIDC mechanism)."""
 
 import pytest
 
 from repro.config import SystemConfig
 from repro.core.bridge import DLBridge
 from repro.core.controller import DLController
-from repro.core.routing import (
-    INTER_GROUP_BC,
-    INTER_GROUP_P2P,
-    INTRA_GROUP_BC,
-    INTRA_GROUP_P2P,
-    distance,
-    plan_broadcast,
-    plan_p2p,
-)
+from repro.core.routing import distance
 from repro.core.serdes import GRS, table2, tech
 from repro.errors import ConfigError, RoutingError
 from repro.nmp.system import NMPSystem
@@ -41,32 +33,7 @@ def test_table2_has_three_techs():
         tech("optical")
 
 
-# -- routing plans (Fig. 5) ----------------------------------------------------
-
-def test_intra_group_p2p_plan():
-    config = SystemConfig.named("16D-8C")
-    plan = plan_p2p(config, 0, 2)
-    assert plan.kind == INTRA_GROUP_P2P
-    assert plan.dl_hops == 2
-    assert not plan.forwarded
-
-
-def test_inter_group_p2p_plan():
-    config = SystemConfig.named("16D-8C")
-    plan = plan_p2p(config, 0, 8)
-    assert plan.kind == INTER_GROUP_P2P
-    assert plan.forwarded
-    assert plan.dl_hops == 0
-
-
-def test_broadcast_plans():
-    config = SystemConfig.named("16D-8C")
-    plan = plan_broadcast(config, 0)
-    assert plan.kind == INTER_GROUP_BC
-    assert plan.gateways == [config.master_dimm(1)]
-    single_group = SystemConfig.named("4D-2C")
-    assert plan_broadcast(single_group, 0).kind == INTRA_GROUP_BC
-
+# -- the Algorithm 1 distance function -----------------------------------------
 
 def test_distance_function_properties():
     config = SystemConfig.named("16D-8C")

@@ -141,14 +141,14 @@ def test_spec_rejects_nonsense():
 # -- bypass --------------------------------------------------------------------------
 
 
-def test_no_cache_bypasses_reads_and_writes(tmp_path):
+def test_no_cache_bypasses_reads_and_writes(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     execute = CountingExecute()
-    cache = ResultsCache(tmp_path)
-    runner = SweepRunner(cache=cache, use_cache=False, execute=execute)
+    runner = SweepRunner(execute=execute)
     runner.run([SPEC, SPEC])
     runner.run([SPEC])
     assert execute.calls == 3  # every spec re-simulates, duplicates included
-    assert len(cache) == 0  # and nothing was persisted
+    assert not any(tmp_path.iterdir())  # and nothing was persisted
     assert runner.stats == {"cache.hits": 0, "cache.misses": 3}
 
 

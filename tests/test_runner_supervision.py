@@ -188,7 +188,7 @@ def test_duplicate_failing_specs_quarantine_once(tmp_path):
 
 
 def test_strict_error_reports_retry_counts():
-    runner = SweepRunner(execute=crashy_execute, retries=0, use_cache=False)
+    runner = SweepRunner(execute=crashy_execute, retries=0)
     with pytest.raises(SweepExecutionError) as excinfo:
         runner.run(grid(2, bad_at=0))
     assert "quarantined" in str(excinfo.value)
@@ -228,6 +228,7 @@ def test_timeout_inside_simulator_reports_blocked_processes(tmp_path):
     letter = runner.dead_letters[0]
     assert "SimStallError" in letter.error
     assert "stalled at" in letter.diagnosis
+    assert "interrupted=" in letter.diagnosis
     assert "dimm0.core0.t0 <- delay " in letter.diagnosis  # names the hung thread
 
 
@@ -258,40 +259,41 @@ def test_worker_crash_respawns_pool_and_quarantines_only_the_killer(tmp_path):
 def test_worker_killer_never_reruns_in_the_parent():
     """Every attempt of a worker-killing spec runs in a pool worker, so a
     budget of four attempts costs four pool breaks and never the parent
-    process.  The sweep runs in a subprocess: a retry in the parent would
-    kill it with the killer's exit code 17."""
+    process, in a batch of seven and in a batch of the killer alone.  The
+    sweep runs in a subprocess: a retry in the parent would kill it with
+    the killer's exit code 17."""
     root = Path(__file__).resolve().parent.parent
-    script = textwrap.dedent(
-        """
-        import json
-        from repro.experiments.runner import SweepRunner
-        from tests.test_runner_supervision import grid, worker_killer_execute
-
-        runner = SweepRunner(
-            jobs=2, use_cache=False, execute=worker_killer_execute,
-            retries=3, strict=False,
-        )
-        results = runner.run(grid(7, bad_at=3))
-        print(json.dumps({
-            "ok": [result is not None for result in results],
-            "letters": [
-                [letter.spec.seed, letter.attempts, letter.error]
-                for letter in runner.dead_letters
-            ],
-        }))
-        """
-    )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]))
-    proc = subprocess.run(
-        [sys.executable, "-c", script],
-        cwd=root, env=env, capture_output=True, text=True, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
-    report = json.loads(proc.stdout.splitlines()[-1])
-    assert report["ok"] == [index != 3 for index in range(7)]
-    [[seed, attempts, error]] = report["letters"]
-    assert (seed, attempts) == (BAD_SEED, 4)
-    assert "worker process died" in error
+    for count, bad_at in ((7, 3), (1, 0)):
+        script = textwrap.dedent(
+            f"""
+            import json
+            from repro.experiments.runner import SweepRunner
+            from tests.test_runner_supervision import grid, worker_killer_execute
+
+            runner = SweepRunner(
+                jobs=2, execute=worker_killer_execute, retries=3, strict=False,
+            )
+            results = runner.run(grid({count}, bad_at={bad_at}))
+            print(json.dumps({{
+                "ok": [result is not None for result in results],
+                "letters": [
+                    [letter.spec.seed, letter.attempts, letter.error]
+                    for letter in runner.dead_letters
+                ],
+            }}))
+            """
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            cwd=root, env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, (count, proc.stderr)
+        report = json.loads(proc.stdout.splitlines()[-1])
+        assert report["ok"] == [index != bad_at for index in range(count)]
+        [[seed, attempts, error]] = report["letters"]
+        assert (seed, attempts) == (BAD_SEED, 4)
+        assert "worker process died" in error
 
 
 # -- equivalence guarantees stay intact ----------------------------------------------
@@ -301,10 +303,9 @@ def test_fault_free_supervised_run_matches_unsupervised(tmp_path):
     import json
 
     specs = grid(4)
-    plain = SweepRunner(execute=ok_execute, use_cache=False).run(specs)
+    plain = SweepRunner(execute=ok_execute).run(specs)
     supervised = SweepRunner(
         execute=ok_execute,
-        use_cache=False,
         retries=3,
         spec_timeout=60.0,
     ).run(specs)
@@ -339,7 +340,7 @@ def test_a_timed_serial_batch_off_the_main_thread_is_refused_before_any_spec():
         calls.append(spec)
         return fake_result(spec)
 
-    runner = SweepRunner(execute=spy, use_cache=False, spec_timeout=5.0)
+    runner = SweepRunner(execute=spy, spec_timeout=5.0)
     raised = []
 
     def sweep():

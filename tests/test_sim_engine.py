@@ -1,12 +1,14 @@
 """Tests for the discrete-event engine (repro.sim.engine), and for the
 generator runtime the referee tests run on (tests/genproc.py)."""
 
+import functools
 import itertools
 import signal
 
 import pytest
 
 from repro.errors import DeadlockError, SimStallError, SimulationError, SpecTimeoutError
+from repro.experiments.runner import _alarm_handler
 from repro.nmp.executor import ThreadExecutor, run_threads
 from repro.sim import Join, Simulator, StatRegistry
 from repro.sim.time import ns
@@ -331,6 +333,30 @@ def test_wall_clock_stall_raises_with_snapshot():
     assert snapshot["events"] == sim._seq > 0
     assert snapshot["live_threads"] == 1
     assert snapshot["blocked"] == [("spinner.t0", "delay 1000ps")]
+    assert snapshot["interrupted"] in ("ThreadExecutor._step", "_step", None)
+
+
+def _stuck_callback(_arg):
+    """A callback the sweep harness's alarm lands in."""
+    _alarm_handler(signal.SIGALRM, None)
+
+
+def test_stall_snapshot_names_the_interrupted_callback():
+    """An alarm inside a callback names that callback; one between
+    callbacks, where the handler's own frame sits right below ``run``'s,
+    reads ``None``.  Each case calls the handler from a scheduled
+    callable, so neither depends on timing."""
+    cases = [
+        (_stuck_callback, "_stuck_callback"),
+        (functools.partial(_alarm_handler, signal.SIGALRM), None),
+    ]
+    for callback, interrupted in cases:
+        sim = Simulator()
+        sim.schedule(ns(1), callback)
+        with pytest.raises(SimStallError) as excinfo:
+            sim.run()
+        assert excinfo.value.snapshot["interrupted"] == interrupted
+        assert excinfo.value.snapshot["queue_depth"] == 0
 
 
 # -- non-Exception BaseExceptions abort the run ----------------------------------------
