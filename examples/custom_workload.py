@@ -9,7 +9,7 @@ deliberately scrambled initial placement.
 Run:  python examples/custom_workload.py
 """
 
-from typing import Iterator, List
+from typing import Iterator, Tuple
 
 from repro import (
     NMPSystem,
@@ -18,7 +18,7 @@ from repro import (
     profile_traffic,
     threads_for,
 )
-from repro.workloads.base import ThreadFactory, Workload
+from repro.workloads.base import Workload
 from repro.workloads.batching import OffsetCursor, batched_reads, batched_writes
 from repro.workloads.ops import Barrier, Compute
 
@@ -37,33 +37,22 @@ class OceanCurrents(Workload):
         self.tile_cells = tile_cells
         self.iterations = iterations
 
-    def thread_factories(self, num_threads: int, num_dimms: int) -> List[ThreadFactory]:
-        self.validate(num_threads, num_dimms)
-
-        def make_factory(thread_id: int) -> ThreadFactory:
-            home = thread_id % num_dimms  # interleaved data layout
-            left = (thread_id - 1) % num_threads % num_dimms
-            right = (thread_id + 1) % num_threads % num_dimms
-
-            def factory() -> Iterator:
-                def gen():
-                    cursor = OffsetCursor(thread_id)
-                    cell_bytes = self.tile_cells * 8
-                    for _ in range(self.iterations):
-                        halo = {}
-                        for neighbor in (left, right):
-                            halo[neighbor] = halo.get(neighbor, 0) + 2 * 1024
-                        yield from batched_reads(halo, cursor)
-                        yield from batched_reads({home: cell_bytes}, cursor, chunk=8192)
-                        yield Compute(6 * self.tile_cells)
-                        yield from batched_writes({home: cell_bytes}, cursor, chunk=8192)
-                        yield Barrier()
-
-                return gen()
-
-            return factory
-
-        return [make_factory(t) for t in range(num_threads)]
+    def thread_ops(self, shape: Tuple[int, int], thread_id: int) -> Iterator:
+        num_threads, num_dimms = shape
+        home = thread_id % num_dimms  # interleaved data layout
+        left = (thread_id - 1) % num_threads % num_dimms
+        right = (thread_id + 1) % num_threads % num_dimms
+        cursor = OffsetCursor(thread_id)
+        cell_bytes = self.tile_cells * 8
+        for _ in range(self.iterations):
+            halo = {}
+            for neighbor in (left, right):
+                halo[neighbor] = halo.get(neighbor, 0) + 2 * 1024
+            yield from batched_reads(halo, cursor)
+            yield from batched_reads({home: cell_bytes}, cursor, chunk=8192)
+            yield Compute(6 * self.tile_cells)
+            yield from batched_writes({home: cell_bytes}, cursor, chunk=8192)
+            yield Barrier()
 
 
 def main() -> None:

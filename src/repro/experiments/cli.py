@@ -188,7 +188,7 @@ def main(argv=None) -> int:
     previous_runner = sweep_runner.get_runner()
     grid_runner = sweep_runner.SweepRunner(
         jobs=args.jobs,
-        cache=None if args.no_cache else args.cache_dir or None,
+        cache=None if args.no_cache else args.cache_dir,
         retries=args.retries,
         spec_timeout=args.spec_timeout,
     )

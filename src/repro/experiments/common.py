@@ -30,6 +30,7 @@ from repro.workloads.dlrm import DLRMEmbedding
 from repro.workloads.hotpage import HotPage
 from repro.workloads.hotspot import Hotspot
 from repro.workloads.kmeans import KMeans
+from repro.workloads.microbench import UniformRandom
 from repro.workloads.nw import NeedlemanWunsch
 from repro.workloads.pagerank import PageRank, PageRankBC
 from repro.workloads.spmv import SpMV, SpMVBC
@@ -109,7 +110,8 @@ def build_workload(
     overrides: Optional[Dict[str, object]] = None,
     paged: bool = False,
 ) -> Workload:
-    """Instantiate a Table IV workload at a size preset.
+    """Instantiate a Table IV workload, or the ``uniform_random`` IDC
+    stress kernel, at a size preset.
 
     ``overrides`` tunes individual shape parameters of the parameterized
     workloads (``dlrm``, ``apsp``) on top of their size preset — unknown
@@ -153,6 +155,7 @@ def build_workload(
     seq = {"tiny": 1024, "small": 2048, "large": 4096}[size]
     points = {"tiny": 8192, "small": 32768, "large": 131072}[size]
     samples = {"tiny": 2048, "small": 8192, "large": 32768}[size]
+    uniform_ops = {"tiny": 20, "small": 60, "large": 200}[size]
     factories = {
         "bfs": lambda: BFS(scale=scale, seed=seed, byte_scale=bscale),
         "sssp": lambda: SSSP(scale=scale, seed=seed, rounds=iters, byte_scale=bscale),
@@ -173,6 +176,13 @@ def build_workload(
         "kmeans": lambda: KMeans(points=points, iterations=max(2, iters // 2)),
         "nw": lambda: NeedlemanWunsch(sequence_length=seq, block=128),
         "ts_pow": lambda: TSPow(samples_per_thread=samples, chunks=3 * iters),
+        "uniform_random": lambda: UniformRandom(
+            ops_per_thread=uniform_ops,
+            remote_fraction=0.6,
+            write_fraction=0.3,
+            nbytes=512,
+            seed=seed,
+        ),
     }
     try:
         workload = factories[name]()

@@ -80,13 +80,9 @@ from repro.nmp.system import NMPSystem
 from repro.results_cache import CODE_VERSION, ResultsCache
 from repro.sim.time import ns
 from repro.workloads.base import Workload
-from repro.workloads.microbench import UniformRandom
 
 _KINDS = ("cpu", "nmp", "optimized")
 _PLACEMENTS = ("natural", "random", "optimized")
-
-#: ops per thread of the ``uniform_random`` IDC-stress kernel, by size.
-UNIFORM_OPS = {"tiny": 20, "small": 60, "large": 200}
 
 #: fault-injection time of spec-driven link-down schedules: late enough
 #: that traffic is in flight, early enough that most of the kernel runs
@@ -127,7 +123,7 @@ class RunSpec:
 
     #: paper-style config name, e.g. ``"16D-8C"``.
     config: str
-    #: workload registry name (``build_workload``) or ``"uniform_random"``.
+    #: workload registry name (``build_workload``).
     workload: str
     size: str = "small"
     #: workload generation seed.
@@ -303,19 +299,6 @@ def build_spec_config(spec: RunSpec) -> SystemConfig:
 
 def build_spec_workload(spec: RunSpec) -> Workload:
     """Materialize the spec's workload instance."""
-    if spec.workload == "uniform_random":
-        if spec.params:
-            raise ConfigError(
-                "uniform_random does not accept workload params "
-                f"(got {spec.params!r})"
-            )
-        return UniformRandom(
-            ops_per_thread=UNIFORM_OPS.get(spec.size, UNIFORM_OPS["small"]),
-            remote_fraction=0.6,
-            write_fraction=0.3,
-            nbytes=512,
-            seed=spec.seed,
-        )
     overrides = parse_params(spec.params) if spec.params else None
     return build_workload(
         spec.workload,
@@ -604,8 +587,11 @@ class SweepRunner:
             raise ConfigError(f"retries must be >= 0, got {retries}")
         check_spec_timeout(spec_timeout)
         self.jobs = jobs
-        #: the results cache (``None``: every spec simulates, nothing persists).
-        self.cache = ResultsCache(cache) if isinstance(cache, str) else cache
+        if isinstance(cache, str):
+            cache = ResultsCache(cache) if cache else None
+        #: the results cache (``None``, also for ``cache=""``: every spec
+        #: simulates, nothing persists).
+        self.cache = cache
         self.execute = execute
         #: extra attempts granted to a failing spec before quarantine.
         self.retries = retries

@@ -29,7 +29,7 @@ import random
 from typing import Dict, Iterator, List, Tuple
 
 from repro.errors import WorkloadError
-from repro.workloads.base import ThreadFactory, Workload
+from repro.workloads.base import Workload
 from repro.workloads.batching import OffsetCursor, batched_reads
 from repro.workloads.ops import Barrier, Broadcast, Compute, Stamp
 
@@ -48,6 +48,9 @@ APSP_MECHANISMS = ("cpu", "dimm_link", "dl_opt")
 
 #: histogram key recording per-round latency (scoped per core).
 ROUND_STAMP = "apsp.round_ps"
+
+#: a tile a thread owns: its tile coordinates and its home DIMM.
+Tile = Tuple[int, int, int]
 
 
 def _minplus(dist: List[List[int]], i: int, j: int, k: int) -> None:
@@ -218,82 +221,53 @@ class BlockedFloydWarshall(Workload):
         k0, k1 = self._tile_range(tk)
         return CYCLES_PER_MINPLUS * (i1 - i0) * (j1 - j0) * (k1 - k0)
 
-    def thread_factories(self, num_threads: int, num_dimms: int) -> List[ThreadFactory]:
-        self.validate(num_threads, num_dimms)
-        tiles = self.tiles
-        #: thread -> its tiles, precomputed once for every factory.
-        owned: Dict[int, List[Tuple[int, int]]] = {}
-        for ti in range(tiles):
-            for tj in range(tiles):
-                owned.setdefault(
-                    self.tile_owner(ti, tj, num_threads), []
-                ).append((ti, tj))
+    def shape(self, num_threads: int, num_dimms: int) -> Dict[int, List[Tile]]:
+        """Thread -> its tiles ``(ti, tj, home DIMM)``, in row-major order."""
+        owned: Dict[int, List[Tile]] = {}
+        for ti in range(self.tiles):
+            for tj in range(self.tiles):
+                owned.setdefault(self.tile_owner(ti, tj, num_threads), []).append(
+                    (ti, tj, self.tile_home(ti, tj, num_dimms))
+                )
+        return owned
 
-        def make_factory(thread_id: int) -> ThreadFactory:
-            my_tiles = owned.get(thread_id, [])
-
-            def factory() -> Iterator:
-                def gen():
-                    cursor = OffsetCursor(thread_id)
-                    for k in range(tiles):
-                        # phase 1: the pivot tile updates, then floods
-                        for ti, tj in my_tiles:
-                            if ti == k and tj == k:
-                                yield from batched_reads(
-                                    {
-                                        self.tile_home(ti, tj, num_dimms):
-                                        self._tile_bytes(ti, tj)
-                                    },
-                                    cursor,
-                                )
-                                yield Compute(self._tile_cycles(k, k, k))
-                                tile_bytes = self._tile_bytes(k, k)
-                                yield Broadcast(
-                                    offset=cursor.take(tile_bytes),
-                                    nbytes=tile_bytes,
-                                )
-                        yield Barrier()
-                        # phase 2: pivot row/column tiles update + flood
-                        # (each update also re-reads the flood-deposited
-                        # pivot tile: local DRAM on NMP, one more channel
-                        # crossing on the host)
-                        for ti, tj in my_tiles:
-                            if (ti == k) != (tj == k):
-                                yield from batched_reads(
-                                    {
-                                        self.tile_home(ti, tj, num_dimms):
-                                        self._tile_bytes(ti, tj)
-                                        + self._tile_bytes(k, k)
-                                    },
-                                    cursor,
-                                )
-                                yield Compute(self._tile_cycles(ti, tj, k))
-                                tile_bytes = self._tile_bytes(ti, tj)
-                                yield Broadcast(
-                                    offset=cursor.take(tile_bytes),
-                                    nbytes=tile_bytes,
-                                )
-                        yield Barrier()
-                        # phase 3: the remainder updates off broadcast data
-                        # (own tile + the broadcast pivot-row and
-                        # pivot-column tiles it min-pluses against)
-                        for ti, tj in my_tiles:
-                            if ti != k and tj != k:
-                                yield from batched_reads(
-                                    {
-                                        self.tile_home(ti, tj, num_dimms):
-                                        self._tile_bytes(ti, tj)
-                                        + self._tile_bytes(ti, k)
-                                        + self._tile_bytes(k, tj)
-                                    },
-                                    cursor,
-                                )
-                                yield Compute(self._tile_cycles(ti, tj, k))
-                        yield Barrier()
-                        yield Stamp(ROUND_STAMP)
-
-                return gen()
-
-            return factory
-
-        return [make_factory(t) for t in range(num_threads)]
+    def thread_ops(self, owned: Dict[int, List[Tile]], thread_id: int) -> Iterator:
+        my_tiles = owned.get(thread_id, [])
+        cursor = OffsetCursor(thread_id)
+        for k in range(self.tiles):
+            # phase 1: the pivot tile updates, then floods
+            for ti, tj, home in my_tiles:
+                if ti == k and tj == k:
+                    tile_bytes = self._tile_bytes(k, k)
+                    yield from batched_reads({home: tile_bytes}, cursor)
+                    yield Compute(self._tile_cycles(k, k, k))
+                    yield Broadcast(offset=cursor.take(tile_bytes), nbytes=tile_bytes)
+            yield Barrier()
+            # phase 2: pivot row/column tiles update + flood (each update
+            # also re-reads the flood-deposited pivot tile: local DRAM on
+            # NMP, one more channel crossing on the host)
+            for ti, tj, home in my_tiles:
+                if (ti == k) != (tj == k):
+                    tile_bytes = self._tile_bytes(ti, tj)
+                    yield from batched_reads(
+                        {home: tile_bytes + self._tile_bytes(k, k)}, cursor
+                    )
+                    yield Compute(self._tile_cycles(ti, tj, k))
+                    yield Broadcast(offset=cursor.take(tile_bytes), nbytes=tile_bytes)
+            yield Barrier()
+            # phase 3: the remainder updates off broadcast data (own tile
+            # + the broadcast pivot-row and pivot-column tiles it
+            # min-pluses against)
+            for ti, tj, home in my_tiles:
+                if ti != k and tj != k:
+                    yield from batched_reads(
+                        {
+                            home: self._tile_bytes(ti, tj)
+                            + self._tile_bytes(ti, k)
+                            + self._tile_bytes(k, tj)
+                        },
+                        cursor,
+                    )
+                    yield Compute(self._tile_cycles(ti, tj, k))
+            yield Barrier()
+            yield Stamp(ROUND_STAMP)

@@ -10,11 +10,10 @@ why it is broadcast-unfriendly (Sec. II-B) and IDC-latency-sensitive.
 
 from __future__ import annotations
 
-from typing import Iterator, List
+from typing import Iterator
 
 import numpy as np
 
-from repro.workloads.base import ThreadFactory
 from repro.workloads.batching import OffsetCursor, batched_reads, batched_writes
 from repro.workloads.graphkernels import EDGE_BYTES, STATE_BYTES, GraphKernel
 from repro.workloads.ops import Barrier, Compute
@@ -34,13 +33,12 @@ class BFS(GraphKernel):
         self.source = source
         self._levels = self.bfs_levels(source)
 
-    def thread_factories(self, num_threads: int, num_dimms: int) -> List[ThreadFactory]:
-        self.validate(num_threads, num_dimms)
-        layout = self._layout(num_threads, num_dimms)
+    def shape(self, num_threads: int, num_dimms: int) -> dict:
+        """The block layout plus the per-(level, block) frontier sizes."""
+        layout = super().shape(num_threads, num_dimms)
         bounds = layout["bounds"]
         levels = self._levels
         max_level = int(levels.max())
-        # per (level, block): frontier size and newly-discovered count
         frontier = np.zeros((max_level + 1, num_threads), dtype=np.int64)
         for block in range(num_threads):
             block_levels = levels[bounds[block] : bounds[block + 1]]
@@ -48,50 +46,32 @@ class BFS(GraphKernel):
             if len(reached):
                 frontier[:, block] = np.bincount(reached, minlength=max_level + 1)
         frontier *= self.byte_scale  # same distribution, full-size volumes
+        return {**layout, "frontier": frontier}
 
-        def make_factory(thread_id: int) -> ThreadFactory:
-            block_vertices = int(layout["block_vertices"][thread_id])
-            block_edges = int(layout["block_edges"][thread_id])
-            edges_to_dimm = layout["edges_to_dimm"][thread_id]
-            home = int(layout["dimm_of_block"][thread_id])
-
-            def factory() -> Iterator:
-                def gen():
-                    cursor = OffsetCursor(thread_id)
-                    pager = self.pager_for(thread_id)
-                    for level in range(max_level):
-                        if pager is not None:
-                            pager.rewind()
-                        active = int(frontier[level, thread_id])
-                        share = active / block_vertices if block_vertices else 0.0
-                        edges_scanned = int(block_edges * share)
-                        yield Compute(
-                            CYCLES_PER_EDGE * edges_scanned
-                            + CYCLES_PER_VERTEX * active
-                        )
-                        if edges_scanned:
-                            # stream this level's CSR slice from the home DIMM
-                            yield from batched_reads(
-                                {home: edges_scanned * EDGE_BYTES},
-                                cursor,
-                                chunk=4096,
-                                pager=pager,
-                            )
-                            # gather neighbor levels from their owners
-                            yield from batched_reads(
-                                self.spread_bytes(edges_to_dimm, scale=share),
-                                cursor,
-                                pager=pager,
-                            )
-                        discovered = int(frontier[level + 1, thread_id])
-                        if discovered:
-                            yield from batched_writes(
-                                {home: discovered * STATE_BYTES}, cursor, pager=pager
-                            )
-                        yield Barrier()
-
-                return gen()
-
-            return factory
-
-        return [make_factory(t) for t in range(num_threads)]
+    def thread_ops(self, layout: dict, thread_id: int) -> Iterator:
+        vertices, edges, edges_to_dimm, home = self.block(layout, thread_id)
+        frontier = layout["frontier"][:, thread_id]
+        cursor = OffsetCursor(thread_id)
+        pager = self.pager_for(thread_id)
+        for level in range(len(frontier) - 1):
+            if pager is not None:
+                pager.rewind()
+            active = int(frontier[level])
+            share = active / vertices if vertices else 0.0
+            edges_scanned = int(edges * share)
+            yield Compute(CYCLES_PER_EDGE * edges_scanned + CYCLES_PER_VERTEX * active)
+            if edges_scanned:
+                # stream this level's CSR slice from the home DIMM
+                yield from batched_reads(
+                    {home: edges_scanned * EDGE_BYTES}, cursor, chunk=4096, pager=pager
+                )
+                # gather neighbor levels from their owners
+                yield from batched_reads(
+                    self.spread_bytes(edges_to_dimm, scale=share), cursor, pager=pager
+                )
+            discovered = int(frontier[level + 1])
+            if discovered:
+                yield from batched_writes(
+                    {home: discovered * STATE_BYTES}, cursor, pager=pager
+                )
+            yield Barrier()

@@ -17,7 +17,7 @@ The workload carries two faces kept in exact agreement:
   per-shard partial sums + binary tree reduction, and the DL-opt
   rotated tree).  Integer weights make every path bit-exact, so the
   differential tests assert *equality*, not tolerance.
-* **Traffic** — :meth:`thread_factories` models the cooperative gather:
+* **Traffic** — :meth:`thread_ops` models the cooperative gather:
   batches are served in *waves* of ``num_threads``.  In each wave every
   thread first reads its home DIMM's share of the wave's selected rows
   *locally* and reduces them into partials (the NMP-side gather), then —
@@ -38,10 +38,10 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from collections import Counter
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from repro.errors import WorkloadError
-from repro.workloads.base import ThreadFactory, Workload
+from repro.workloads.base import Workload
 from repro.workloads.batching import OffsetCursor, batched_reads
 from repro.workloads.ops import Barrier, Compute, Stamp, Write
 
@@ -241,78 +241,52 @@ class DLRMEmbedding(Workload):
         self._traffic_cache[(batch_id, num_dimms)] = (rows_at, partials_at)
         return rows_at, partials_at
 
-    def thread_factories(self, num_threads: int, num_dimms: int) -> List[ThreadFactory]:
-        self.validate(num_threads, num_dimms)
-        per_dimm = max(1, num_threads // num_dimms)
+    def thread_ops(self, shape: Tuple[int, int], thread_id: int) -> Iterator:
+        num_threads, num_dimms = shape
+        homes = self.block_placement(
+            num_threads, num_dimms, max(1, num_threads // num_dimms)
+        )
+        home = homes[thread_id]
+        # the threads co-resident on this DIMM split its local gather
+        # work; this thread's rank among them picks its share
+        mates = homes.count(home)
+        rank = homes[:thread_id].count(home)
         response_bytes = self.batch_size * self.tables * self.dim * ELEMENT_BYTES
-
-        def make_factory(thread_id: int) -> ThreadFactory:
-            home = min(thread_id // per_dimm, num_dimms - 1)
-            # rank among the threads co-resident on this DIMM, used to
-            # split the DIMM's local gather work between them
-            mates = [
-                t
-                for t in range(num_threads)
-                if min(t // per_dimm, num_dimms - 1) == home
-            ]
-            rank = mates.index(thread_id)
-
-            def factory() -> Iterator:
-                def gen():
-                    cursor = OffsetCursor(thread_id)
-                    for wave in range(self.batches_per_thread):
-                        # -- gather phase: this thread reads its share of
-                        # the rows its home DIMM contributes to every
-                        # batch of the wave, and reduces them to partials
-                        # (local DRAM reads on NMP; channel reads — i.e.
-                        # CPU-forwarding — on the host baseline)
-                        local_rows = 0
-                        for peer in range(num_threads):
-                            rows_at, _partials = self.batch_traffic(
-                                wave * num_threads + peer, num_dimms
-                            )
-                            local_rows += rows_at.get(home, 0)
-                        share = local_rows // len(mates) + (
-                            1 if rank < local_rows % len(mates) else 0
-                        )
-                        if share:
-                            yield from batched_reads(
-                                {home: share * self.dim * ELEMENT_BYTES},
-                                cursor,
-                                chunk=4096,
-                            )
-                            yield Compute(CYCLES_PER_ELEMENT * self.dim * share)
-                        yield Barrier()
-                        # -- serve phase: this thread's batch pulls one
-                        # dim-vector partial per (query, table, shard)
-                        # across the interconnect and tree-reduces
-                        batch_id = wave * num_threads + thread_id
-                        _rows, partials_at = self.batch_traffic(
-                            batch_id, num_dimms
-                        )
-                        yield from batched_reads(
-                            {
-                                dimm: count * self.dim * ELEMENT_BYTES
-                                for dimm, count in sorted(partials_at.items())
-                            },
-                            cursor,
-                            chunk=2048,
-                        )
-                        yield Compute(
-                            CYCLES_PER_ELEMENT
-                            * self.dim
-                            * sum(partials_at.values())
-                        )
-                        # pooled response lands in the local result buffer
-                        yield Write(
-                            dimm=home,
-                            offset=cursor.take(response_bytes),
-                            nbytes=response_bytes,
-                        )
-                        yield Stamp(BATCH_STAMP)
-
-                return gen()
-
-            return factory
-
-        return [make_factory(t) for t in range(num_threads)]
+        cursor = OffsetCursor(thread_id)
+        for wave in range(self.batches_per_thread):
+            # -- gather phase: this thread reads its share of the rows its
+            # home DIMM contributes to every batch of the wave, and
+            # reduces them to partials (local DRAM reads on NMP; channel
+            # reads — i.e. CPU-forwarding — on the host baseline)
+            local_rows = 0
+            for peer in range(num_threads):
+                rows_at, _partials = self.batch_traffic(
+                    wave * num_threads + peer, num_dimms
+                )
+                local_rows += rows_at.get(home, 0)
+            share = local_rows // mates + (1 if rank < local_rows % mates else 0)
+            if share:
+                yield from batched_reads(
+                    {home: share * self.dim * ELEMENT_BYTES}, cursor, chunk=4096
+                )
+                yield Compute(CYCLES_PER_ELEMENT * self.dim * share)
+            yield Barrier()
+            # -- serve phase: this thread's batch pulls one dim-vector
+            # partial per (query, table, shard) across the interconnect
+            # and tree-reduces
+            batch_id = wave * num_threads + thread_id
+            _rows, partials_at = self.batch_traffic(batch_id, num_dimms)
+            yield from batched_reads(
+                {
+                    dimm: count * self.dim * ELEMENT_BYTES
+                    for dimm, count in sorted(partials_at.items())
+                },
+                cursor,
+                chunk=2048,
+            )
+            yield Compute(CYCLES_PER_ELEMENT * self.dim * sum(partials_at.values()))
+            # pooled response lands in the local result buffer
+            yield Write(
+                dimm=home, offset=cursor.take(response_bytes), nbytes=response_bytes
+            )
+            yield Stamp(BATCH_STAMP)

@@ -12,7 +12,7 @@ is what gives distance-aware mapping something to optimise.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -88,6 +88,21 @@ class GraphKernel(Workload):
         if self.graph is not None:
             return self.graph
         return shared_streamed_rmat(*self._stream_args)
+
+    def shape(self, num_threads: int, num_dimms: int) -> dict:
+        """The call's block layout (see :meth:`_layout`)."""
+        return self._layout(num_threads, num_dimms)
+
+    @staticmethod
+    def block(layout: dict, t: int) -> Tuple[int, int, np.ndarray, int]:
+        """Block ``t``'s vertex count, edge count, per-DIMM edge row and
+        home DIMM."""
+        return (
+            int(layout["block_vertices"][t]),
+            int(layout["block_edges"][t]),
+            layout["edges_to_dimm"][t],
+            int(layout["dimm_of_block"][t]),
+        )
 
     def _layout(self, num_threads: int, num_dimms: int) -> dict:
         """Per-(block, dimm) edge counts and per-block sizes (cached)."""

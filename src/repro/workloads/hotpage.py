@@ -17,11 +17,11 @@ ablation's guaranteed-crossover workload.
 
 from __future__ import annotations
 
-from typing import Iterator, List
+from typing import Iterator, Tuple
 
 from repro.dram.address import PAGE_BYTES, page_id
 from repro.errors import WorkloadError
-from repro.workloads.base import ThreadFactory, Workload
+from repro.workloads.base import Workload
 from repro.workloads.ops import Barrier, Compute, Read, Write
 
 #: the hot shard every page statically lives on.
@@ -57,49 +57,35 @@ class HotPage(Workload):
         self.shared_pages = shared_pages
         self.touches_per_page = touches_per_page
 
-    def thread_factories(self, num_threads: int, num_dimms: int) -> List[ThreadFactory]:
-        self.validate(num_threads, num_dimms)
-
-        def make_factory(thread_id: int) -> ThreadFactory:
-            private = [
-                page_id(HOT_DIMM, thread_id * self.private_pages + i)
-                for i in range(self.private_pages)
-            ]
-            shared = [
-                page_id(HOT_DIMM, SHARED_BASE + j) for j in range(self.shared_pages)
-            ]
-
-            def factory() -> Iterator:
-                def gen():
-                    for _round in range(self.rounds):
-                        yield Compute(CYCLES_PER_ROUND)
-                        for page in private:
-                            base = (page % (1 << 13)) * PAGE_BYTES
-                            for touch in range(self.touches_per_page):
-                                yield Read(
-                                    dimm=HOT_DIMM,
-                                    offset=base + touch * TOUCH_BYTES,
-                                    nbytes=TOUCH_BYTES,
-                                    page=page,
-                                )
-                        for page in shared:
-                            yield Read(
-                                dimm=HOT_DIMM,
-                                offset=(page % (1 << 13)) * PAGE_BYTES,
-                                nbytes=TOUCH_BYTES,
-                                page=page,
-                            )
-                        for page in private:
-                            yield Write(
-                                dimm=HOT_DIMM,
-                                offset=(page % (1 << 13)) * PAGE_BYTES,
-                                nbytes=TOUCH_BYTES,
-                                page=page,
-                            )
-                        yield Barrier()
-
-                return gen()
-
-            return factory
-
-        return [make_factory(t) for t in range(num_threads)]
+    def thread_ops(self, shape: Tuple[int, int], thread_id: int) -> Iterator:
+        private = [
+            page_id(HOT_DIMM, thread_id * self.private_pages + i)
+            for i in range(self.private_pages)
+        ]
+        shared = [page_id(HOT_DIMM, SHARED_BASE + j) for j in range(self.shared_pages)]
+        for _round in range(self.rounds):
+            yield Compute(CYCLES_PER_ROUND)
+            for page in private:
+                base = (page % (1 << 13)) * PAGE_BYTES
+                for touch in range(self.touches_per_page):
+                    yield Read(
+                        dimm=HOT_DIMM,
+                        offset=base + touch * TOUCH_BYTES,
+                        nbytes=TOUCH_BYTES,
+                        page=page,
+                    )
+            for page in shared:
+                yield Read(
+                    dimm=HOT_DIMM,
+                    offset=(page % (1 << 13)) * PAGE_BYTES,
+                    nbytes=TOUCH_BYTES,
+                    page=page,
+                )
+            for page in private:
+                yield Write(
+                    dimm=HOT_DIMM,
+                    offset=(page % (1 << 13)) * PAGE_BYTES,
+                    nbytes=TOUCH_BYTES,
+                    page=page,
+                )
+            yield Barrier()

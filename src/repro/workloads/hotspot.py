@@ -10,10 +10,10 @@ DIMM-Link's chain topology serves best.
 
 from __future__ import annotations
 
-from typing import Iterator, List
+from typing import Iterator, Tuple
 
 from repro.errors import WorkloadError
-from repro.workloads.base import ThreadFactory, Workload
+from repro.workloads.base import Workload
 from repro.workloads.batching import OffsetCursor, batched_reads, batched_writes
 from repro.workloads.graphkernels import data_dimm
 from repro.workloads.ops import Barrier, Compute
@@ -34,55 +34,35 @@ class Hotspot(Workload):
         self.cols = cols
         self.iterations = iterations
 
-    def thread_factories(self, num_threads: int, num_dimms: int) -> List[ThreadFactory]:
-        self.validate(num_threads, num_dimms)
+    def shape(self, num_threads: int, num_dimms: int) -> Tuple[int, int]:
         if num_threads > self.rows:
             raise WorkloadError("more threads than grid rows")
+        return super().shape(num_threads, num_dimms)
+
+    def thread_ops(self, shape: Tuple[int, int], thread_id: int) -> Iterator:
+        num_threads, num_dimms = shape
         row_bytes = self.cols * CELL_BYTES
-
-        def make_factory(thread_id: int) -> ThreadFactory:
-            strip_rows = self.rows // num_threads
-            home = data_dimm(thread_id, num_threads, num_dimms)
-            up = (
-                data_dimm(thread_id - 1, num_threads, num_dimms)
-                if thread_id > 0
-                else None
+        cells = self.rows // num_threads * self.cols
+        home = data_dimm(thread_id, num_threads, num_dimms)
+        # halo rows from the strips above and below
+        halo = {}
+        for neighbor in (thread_id - 1, thread_id + 1):
+            if 0 <= neighbor < num_threads:
+                dimm = data_dimm(neighbor, num_threads, num_dimms)
+                halo[dimm] = halo.get(dimm, 0) + row_bytes
+        cursor = OffsetCursor(thread_id)
+        pager = self.pager_for(thread_id)
+        for _iteration in range(self.iterations):
+            if pager is not None:
+                pager.rewind()
+            if halo:
+                yield from batched_reads(halo, cursor, chunk=4096, pager=pager)
+            # stream temperature + power of the strip
+            yield from batched_reads(
+                {home: 2 * cells * CELL_BYTES}, cursor, chunk=8192, pager=pager
             )
-            down = (
-                data_dimm(thread_id + 1, num_threads, num_dimms)
-                if thread_id < num_threads - 1
-                else None
+            yield Compute(CYCLES_PER_CELL * cells)
+            yield from batched_writes(
+                {home: cells * CELL_BYTES}, cursor, chunk=8192, pager=pager
             )
-
-            def factory() -> Iterator:
-                def gen():
-                    cursor = OffsetCursor(thread_id)
-                    pager = self.pager_for(thread_id)
-                    cells = strip_rows * self.cols
-                    for _iteration in range(self.iterations):
-                        if pager is not None:
-                            pager.rewind()
-                        # halo rows from the neighboring strips
-                        halo = {}
-                        for neighbor in (up, down):
-                            if neighbor is not None:
-                                halo[neighbor] = halo.get(neighbor, 0) + row_bytes
-                        if halo:
-                            yield from batched_reads(
-                                halo, cursor, chunk=4096, pager=pager
-                            )
-                        # stream temperature + power of the strip
-                        yield from batched_reads(
-                            {home: 2 * cells * CELL_BYTES}, cursor, chunk=8192, pager=pager
-                        )
-                        yield Compute(CYCLES_PER_CELL * cells)
-                        yield from batched_writes(
-                            {home: cells * CELL_BYTES}, cursor, chunk=8192, pager=pager
-                        )
-                        yield Barrier()
-
-                return gen()
-
-            return factory
-
-        return [make_factory(t) for t in range(num_threads)]
+            yield Barrier()

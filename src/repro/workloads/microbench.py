@@ -13,10 +13,10 @@ These drive the paper's non-application measurements:
 from __future__ import annotations
 
 import random
-from typing import Iterator, List
+from typing import Iterator, Tuple
 
 from repro.errors import WorkloadError
-from repro.workloads.base import ThreadFactory, Workload
+from repro.workloads.base import Workload
 from repro.workloads.ops import Barrier, Compute, Read, Write
 
 
@@ -40,26 +40,21 @@ class BulkTransfer(Workload):
         self.src_dimm = src_dimm
         self.dst_dimm = dst_dimm
 
-    def thread_factories(self, num_threads: int, num_dimms: int) -> List[ThreadFactory]:
-        self.validate(num_threads, num_dimms)
+    def shape(self, num_threads: int, num_dimms: int) -> Tuple[int, int]:
         if num_threads != 1:
             raise WorkloadError(f"{self.name} is single-threaded")
         if max(self.src_dimm, self.dst_dimm) >= num_dimms:
             raise WorkloadError(f"{self.name}: DIMM ids exceed system size")
+        return super().shape(num_threads, num_dimms)
 
-        def factory() -> Iterator:
-            def gen():
-                moved = 0
-                offset = 0
-                while moved < self.total_bytes:
-                    size = min(self.chunk_bytes, self.total_bytes - moved)
-                    yield Read(dimm=self.dst_dimm, offset=offset, nbytes=size)
-                    moved += size
-                    offset += size
-
-            return gen()
-
-        return [factory]
+    def thread_ops(self, shape: Tuple[int, int], thread_id: int) -> Iterator:
+        moved = 0
+        offset = 0
+        while moved < self.total_bytes:
+            size = min(self.chunk_bytes, self.total_bytes - moved)
+            yield Read(dimm=self.dst_dimm, offset=offset, nbytes=size)
+            moved += size
+            offset += size
 
 
 class UniformRandom(Workload):
@@ -87,36 +82,23 @@ class UniformRandom(Workload):
         self.compute_cycles = compute_cycles
         self.seed = seed
 
-    def thread_factories(self, num_threads: int, num_dimms: int) -> List[ThreadFactory]:
-        self.validate(num_threads, num_dimms)
-        per_dimm_threads = max(1, num_threads // num_dimms)
-
-        def make_factory(thread_id: int) -> ThreadFactory:
-            home = min(thread_id // per_dimm_threads, num_dimms - 1)
-
-            def factory() -> Iterator:
-                rng = random.Random(self.seed * 7919 + thread_id)
-
-                def gen():
-                    for op_index in range(self.ops_per_thread):
-                        yield Compute(self.compute_cycles)
-                        if num_dimms > 1 and rng.random() < self.remote_fraction:
-                            target = rng.randrange(num_dimms - 1)
-                            if target >= home:
-                                target += 1
-                        else:
-                            target = home
-                        offset = rng.randrange(1 << 20) * 64
-                        if rng.random() < self.write_fraction:
-                            yield Write(dimm=target, offset=offset, nbytes=self.nbytes)
-                        else:
-                            yield Read(dimm=target, offset=offset, nbytes=self.nbytes)
-
-                return gen()
-
-            return factory
-
-        return [make_factory(t) for t in range(num_threads)]
+    def thread_ops(self, shape: Tuple[int, int], thread_id: int) -> Iterator:
+        num_threads, num_dimms = shape
+        home = min(thread_id // max(1, num_threads // num_dimms), num_dimms - 1)
+        rng = random.Random(self.seed * 7919 + thread_id)
+        for _op_index in range(self.ops_per_thread):
+            yield Compute(self.compute_cycles)
+            if num_dimms > 1 and rng.random() < self.remote_fraction:
+                target = rng.randrange(num_dimms - 1)
+                if target >= home:
+                    target += 1
+            else:
+                target = home
+            offset = rng.randrange(1 << 20) * 64
+            if rng.random() < self.write_fraction:
+                yield Write(dimm=target, offset=offset, nbytes=self.nbytes)
+            else:
+                yield Read(dimm=target, offset=offset, nbytes=self.nbytes)
 
 
 class SyncInterval(Workload):
@@ -138,27 +120,12 @@ class SyncInterval(Workload):
         self.local_reads_per_interval = local_reads_per_interval
         self.nbytes = nbytes
 
-    def thread_factories(self, num_threads: int, num_dimms: int) -> List[ThreadFactory]:
-        self.validate(num_threads, num_dimms)
-        per_dimm_threads = max(1, num_threads // num_dimms)
-
-        def make_factory(thread_id: int) -> ThreadFactory:
-            home = min(thread_id // per_dimm_threads, num_dimms - 1)
-
-            def factory() -> Iterator:
-                def gen():
-                    for round_index in range(self.barriers):
-                        yield Compute(self.interval_instructions)
-                        for read_index in range(self.local_reads_per_interval):
-                            offset = (
-                                (thread_id * 8191 + round_index * 131 + read_index)
-                                * 64
-                            )
-                            yield Read(dimm=home, offset=offset, nbytes=self.nbytes)
-                        yield Barrier()
-
-                return gen()
-
-            return factory
-
-        return [make_factory(t) for t in range(num_threads)]
+    def thread_ops(self, shape: Tuple[int, int], thread_id: int) -> Iterator:
+        num_threads, num_dimms = shape
+        home = min(thread_id // max(1, num_threads // num_dimms), num_dimms - 1)
+        for round_index in range(self.barriers):
+            yield Compute(self.interval_instructions)
+            for read_index in range(self.local_reads_per_interval):
+                offset = (thread_id * 8191 + round_index * 131 + read_index) * 64
+                yield Read(dimm=home, offset=offset, nbytes=self.nbytes)
+            yield Barrier()

@@ -10,10 +10,10 @@ DIMM counts in Fig. 10.
 
 from __future__ import annotations
 
-from typing import Iterator, List
+from typing import Iterator, Tuple
 
 from repro.errors import WorkloadError
-from repro.workloads.base import ThreadFactory, Workload
+from repro.workloads.base import Workload
 from repro.workloads.batching import OffsetCursor, batched_reads, batched_writes
 from repro.workloads.graphkernels import data_dimm
 from repro.workloads.ops import Barrier, Compute
@@ -40,50 +40,27 @@ class NeedlemanWunsch(Workload):
         """Blocks per matrix dimension."""
         return self.sequence_length // self.block
 
-    def thread_factories(self, num_threads: int, num_dimms: int) -> List[ThreadFactory]:
-        self.validate(num_threads, num_dimms)
+    def thread_ops(self, shape: Tuple[int, int], thread_id: int) -> Iterator:
+        num_threads, num_dimms = shape
         grid = self.grid
         boundary_bytes = self.block * CELL_BYTES
         block_cells = self.block * self.block
-
-        def row_owner(block_row: int) -> int:
-            return block_row % num_threads
-
-        def make_factory(thread_id: int) -> ThreadFactory:
-            home = data_dimm(thread_id, num_threads, num_dimms)
-
-            def factory() -> Iterator:
-                def gen():
-                    cursor = OffsetCursor(thread_id)
-                    for diagonal in range(2 * grid - 1):
-                        # blocks (i, diagonal - i) active on this diagonal
-                        my_blocks = [
-                            (i, diagonal - i)
-                            for i in range(
-                                max(0, diagonal - grid + 1), min(grid, diagonal + 1)
-                            )
-                            if row_owner(i) == thread_id
-                        ]
-                        for i, _j in my_blocks:
-                            if i > 0:
-                                upper = data_dimm(
-                                    row_owner(i - 1), num_threads, num_dimms
-                                )
-                                yield from batched_reads(
-                                    {upper: boundary_bytes}, cursor
-                                )
-                            # stream the block's cells + left boundary
-                            yield from batched_reads(
-                                {home: block_cells * CELL_BYTES}, cursor, chunk=8192
-                            )
-                            yield Compute(CYCLES_PER_CELL * block_cells)
-                            yield from batched_writes(
-                                {home: block_cells * CELL_BYTES}, cursor, chunk=8192
-                            )
-                        yield Barrier()
-
-                return gen()
-
-            return factory
-
-        return [make_factory(t) for t in range(num_threads)]
+        home = data_dimm(thread_id, num_threads, num_dimms)
+        cursor = OffsetCursor(thread_id)
+        for diagonal in range(2 * grid - 1):
+            # this thread's block-rows i with block (i, diagonal - i) active
+            for i in range(max(0, diagonal - grid + 1), min(grid, diagonal + 1)):
+                if i % num_threads != thread_id:
+                    continue
+                if i > 0:
+                    upper = data_dimm((i - 1) % num_threads, num_threads, num_dimms)
+                    yield from batched_reads({upper: boundary_bytes}, cursor)
+                # stream the block's cells + left boundary
+                yield from batched_reads(
+                    {home: block_cells * CELL_BYTES}, cursor, chunk=8192
+                )
+                yield Compute(CYCLES_PER_CELL * block_cells)
+                yield from batched_writes(
+                    {home: block_cells * CELL_BYTES}, cursor, chunk=8192
+                )
+            yield Barrier()

@@ -10,9 +10,8 @@ then computes entirely locally.
 
 from __future__ import annotations
 
-from typing import Iterator, List
+from typing import Iterator
 
-from repro.workloads.base import ThreadFactory
 from repro.workloads.batching import OffsetCursor, batched_reads, batched_writes
 from repro.workloads.graphkernels import EDGE_BYTES, STATE_BYTES, GraphKernel
 from repro.workloads.ops import Barrier, Broadcast, Compute
@@ -31,49 +30,27 @@ class PageRank(GraphKernel):
         super().__init__(**kwargs)
         self.iterations = iterations
 
-    def thread_factories(self, num_threads: int, num_dimms: int) -> List[ThreadFactory]:
-        self.validate(num_threads, num_dimms)
-        layout = self._layout(num_threads, num_dimms)
-
-        def make_factory(thread_id: int) -> ThreadFactory:
-            block_vertices = int(layout["block_vertices"][thread_id])
-            block_edges = int(layout["block_edges"][thread_id])
-            edges_to_dimm = layout["edges_to_dimm"][thread_id]
-            home = int(layout["dimm_of_block"][thread_id])
-
-            def factory() -> Iterator:
-                def gen():
-                    cursor = OffsetCursor(thread_id)
-                    pager = self.pager_for(thread_id)
-                    for _iteration in range(self.iterations):
-                        if pager is not None:
-                            pager.rewind()
-                        yield Compute(
-                            CYCLES_PER_EDGE * block_edges
-                            + CYCLES_PER_VERTEX * block_vertices
-                        )
-                        # stream the CSR slice from the home DIMM
-                        yield from batched_reads(
-                            {home: block_edges * EDGE_BYTES},
-                            cursor,
-                            chunk=4096,
-                            pager=pager,
-                        )
-                        # gather neighbor ranks from their owners
-                        yield from batched_reads(
-                            self.spread_bytes(edges_to_dimm), cursor, pager=pager
-                        )
-                        # write the block's new ranks
-                        yield from batched_writes(
-                            {home: block_vertices * STATE_BYTES}, cursor, pager=pager
-                        )
-                        yield Barrier()
-
-                return gen()
-
-            return factory
-
-        return [make_factory(t) for t in range(num_threads)]
+    def thread_ops(self, layout: dict, thread_id: int) -> Iterator:
+        vertices, edges, edges_to_dimm, home = self.block(layout, thread_id)
+        cursor = OffsetCursor(thread_id)
+        pager = self.pager_for(thread_id)
+        for _iteration in range(self.iterations):
+            if pager is not None:
+                pager.rewind()
+            yield Compute(CYCLES_PER_EDGE * edges + CYCLES_PER_VERTEX * vertices)
+            # stream the CSR slice from the home DIMM
+            yield from batched_reads(
+                {home: edges * EDGE_BYTES}, cursor, chunk=4096, pager=pager
+            )
+            # gather neighbor ranks from their owners
+            yield from batched_reads(
+                self.spread_bytes(edges_to_dimm), cursor, pager=pager
+            )
+            # write the block's new ranks
+            yield from batched_writes(
+                {home: vertices * STATE_BYTES}, cursor, pager=pager
+            )
+            yield Barrier()
 
 
 class PageRankBC(GraphKernel):
@@ -85,48 +62,28 @@ class PageRankBC(GraphKernel):
         super().__init__(**kwargs)
         self.iterations = iterations
 
-    def thread_factories(self, num_threads: int, num_dimms: int) -> List[ThreadFactory]:
-        self.validate(num_threads, num_dimms)
-        layout = self._layout(num_threads, num_dimms)
-
-        def make_factory(thread_id: int) -> ThreadFactory:
-            block_vertices = int(layout["block_vertices"][thread_id])
-            block_edges = int(layout["block_edges"][thread_id])
-            home = int(layout["dimm_of_block"][thread_id])
-
-            def factory() -> Iterator:
-                def gen():
-                    cursor = OffsetCursor(thread_id)
-                    pager = self.pager_for(thread_id)
-                    for _iteration in range(self.iterations):
-                        if pager is not None:
-                            pager.rewind()
-                        # publish this block's ranks to every DIMM
-                        yield Broadcast(
-                            offset=cursor.take(block_vertices * STATE_BYTES),
-                            nbytes=block_vertices * STATE_BYTES,
-                        )
-                        yield Barrier()
-                        # all neighbor ranks are now local: stream and relax
-                        yield from batched_reads(
-                            {
-                                home: block_edges * (EDGE_BYTES + STATE_BYTES)
-                            },
-                            cursor,
-                            chunk=4096,
-                            pager=pager,
-                        )
-                        yield Compute(
-                            CYCLES_PER_EDGE * block_edges
-                            + CYCLES_PER_VERTEX * block_vertices
-                        )
-                        yield from batched_writes(
-                            {home: block_vertices * STATE_BYTES}, cursor, pager=pager
-                        )
-                        yield Barrier()
-
-                return gen()
-
-            return factory
-
-        return [make_factory(t) for t in range(num_threads)]
+    def thread_ops(self, layout: dict, thread_id: int) -> Iterator:
+        vertices, edges, _edges_to_dimm, home = self.block(layout, thread_id)
+        cursor = OffsetCursor(thread_id)
+        pager = self.pager_for(thread_id)
+        for _iteration in range(self.iterations):
+            if pager is not None:
+                pager.rewind()
+            # publish this block's ranks to every DIMM
+            yield Broadcast(
+                offset=cursor.take(vertices * STATE_BYTES),
+                nbytes=vertices * STATE_BYTES,
+            )
+            yield Barrier()
+            # all neighbor ranks are now local: stream and relax
+            yield from batched_reads(
+                {home: edges * (EDGE_BYTES + STATE_BYTES)},
+                cursor,
+                chunk=4096,
+                pager=pager,
+            )
+            yield Compute(CYCLES_PER_EDGE * edges + CYCLES_PER_VERTEX * vertices)
+            yield from batched_writes(
+                {home: vertices * STATE_BYTES}, cursor, pager=pager
+            )
+            yield Barrier()

@@ -9,9 +9,8 @@ their owners instead.
 
 from __future__ import annotations
 
-from typing import Iterator, List
+from typing import Iterator
 
-from repro.workloads.base import ThreadFactory
 from repro.workloads.batching import OffsetCursor, batched_reads, batched_writes
 from repro.workloads.graphkernels import EDGE_BYTES, STATE_BYTES, GraphKernel
 from repro.workloads.ops import Barrier, Broadcast, Compute
@@ -29,45 +28,22 @@ class SpMV(GraphKernel):
         super().__init__(**kwargs)
         self.iterations = iterations
 
-    def thread_factories(self, num_threads: int, num_dimms: int) -> List[ThreadFactory]:
-        self.validate(num_threads, num_dimms)
-        layout = self._layout(num_threads, num_dimms)
-
-        def make_factory(thread_id: int) -> ThreadFactory:
-            rows = int(layout["block_vertices"][thread_id])
-            nonzeros = int(layout["block_edges"][thread_id])
-            edges_to_dimm = layout["edges_to_dimm"][thread_id]
-            home = int(layout["dimm_of_block"][thread_id])
-
-            def factory() -> Iterator:
-                def gen():
-                    cursor = OffsetCursor(thread_id)
-                    pager = self.pager_for(thread_id)
-                    for _iteration in range(self.iterations):
-                        if pager is not None:
-                            pager.rewind()
-                        yield from batched_reads(
-                            {home: nonzeros * EDGE_BYTES},
-                            cursor,
-                            chunk=4096,
-                            pager=pager,
-                        )
-                        yield from batched_reads(
-                            self.spread_bytes(edges_to_dimm), cursor, pager=pager
-                        )
-                        yield Compute(
-                            CYCLES_PER_NONZERO * nonzeros + CYCLES_PER_ROW * rows
-                        )
-                        yield from batched_writes(
-                            {home: rows * STATE_BYTES}, cursor, pager=pager
-                        )
-                        yield Barrier()
-
-                return gen()
-
-            return factory
-
-        return [make_factory(t) for t in range(num_threads)]
+    def thread_ops(self, layout: dict, thread_id: int) -> Iterator:
+        rows, nonzeros, edges_to_dimm, home = self.block(layout, thread_id)
+        cursor = OffsetCursor(thread_id)
+        pager = self.pager_for(thread_id)
+        for _iteration in range(self.iterations):
+            if pager is not None:
+                pager.rewind()
+            yield from batched_reads(
+                {home: nonzeros * EDGE_BYTES}, cursor, chunk=4096, pager=pager
+            )
+            yield from batched_reads(
+                self.spread_bytes(edges_to_dimm), cursor, pager=pager
+            )
+            yield Compute(CYCLES_PER_NONZERO * nonzeros + CYCLES_PER_ROW * rows)
+            yield from batched_writes({home: rows * STATE_BYTES}, cursor, pager=pager)
+            yield Barrier()
 
 
 class SpMVBC(GraphKernel):
@@ -79,44 +55,24 @@ class SpMVBC(GraphKernel):
         super().__init__(**kwargs)
         self.iterations = iterations
 
-    def thread_factories(self, num_threads: int, num_dimms: int) -> List[ThreadFactory]:
-        self.validate(num_threads, num_dimms)
-        layout = self._layout(num_threads, num_dimms)
-
-        def make_factory(thread_id: int) -> ThreadFactory:
-            rows = int(layout["block_vertices"][thread_id])
-            nonzeros = int(layout["block_edges"][thread_id])
-            home = int(layout["dimm_of_block"][thread_id])
-
-            def factory() -> Iterator:
-                def gen():
-                    cursor = OffsetCursor(thread_id)
-                    pager = self.pager_for(thread_id)
-                    for _iteration in range(self.iterations):
-                        if pager is not None:
-                            pager.rewind()
-                        # publish this block of x to every DIMM
-                        yield Broadcast(
-                            offset=cursor.take(rows * STATE_BYTES),
-                            nbytes=rows * STATE_BYTES,
-                        )
-                        yield Barrier()
-                        yield from batched_reads(
-                            {home: nonzeros * (EDGE_BYTES + STATE_BYTES)},
-                            cursor,
-                            chunk=4096,
-                            pager=pager,
-                        )
-                        yield Compute(
-                            CYCLES_PER_NONZERO * nonzeros + CYCLES_PER_ROW * rows
-                        )
-                        yield from batched_writes(
-                            {home: rows * STATE_BYTES}, cursor, pager=pager
-                        )
-                        yield Barrier()
-
-                return gen()
-
-            return factory
-
-        return [make_factory(t) for t in range(num_threads)]
+    def thread_ops(self, layout: dict, thread_id: int) -> Iterator:
+        rows, nonzeros, _edges_to_dimm, home = self.block(layout, thread_id)
+        cursor = OffsetCursor(thread_id)
+        pager = self.pager_for(thread_id)
+        for _iteration in range(self.iterations):
+            if pager is not None:
+                pager.rewind()
+            # publish this block of x to every DIMM
+            yield Broadcast(
+                offset=cursor.take(rows * STATE_BYTES), nbytes=rows * STATE_BYTES
+            )
+            yield Barrier()
+            yield from batched_reads(
+                {home: nonzeros * (EDGE_BYTES + STATE_BYTES)},
+                cursor,
+                chunk=4096,
+                pager=pager,
+            )
+            yield Compute(CYCLES_PER_NONZERO * nonzeros + CYCLES_PER_ROW * rows)
+            yield from batched_writes({home: rows * STATE_BYTES}, cursor, pager=pager)
+            yield Barrier()

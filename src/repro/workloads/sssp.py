@@ -9,9 +9,8 @@ geometrically over rounds, so traffic front-loads like real SSSP.
 
 from __future__ import annotations
 
-from typing import Iterator, List
+from typing import Iterator
 
-from repro.workloads.base import ThreadFactory
 from repro.workloads.batching import OffsetCursor, batched_reads, batched_writes
 from repro.workloads.graphkernels import EDGE_BYTES, STATE_BYTES, GraphKernel
 from repro.workloads.ops import Barrier, Broadcast, Compute
@@ -32,51 +31,27 @@ class SSSP(GraphKernel):
         super().__init__(**kwargs)
         self.rounds = rounds
 
-    def thread_factories(self, num_threads: int, num_dimms: int) -> List[ThreadFactory]:
-        self.validate(num_threads, num_dimms)
-        layout = self._layout(num_threads, num_dimms)
-
-        def make_factory(thread_id: int) -> ThreadFactory:
-            block_vertices = int(layout["block_vertices"][thread_id])
-            block_edges = int(layout["block_edges"][thread_id])
-            edges_to_dimm = layout["edges_to_dimm"][thread_id]
-            home = int(layout["dimm_of_block"][thread_id])
-
-            def factory() -> Iterator:
-                def gen():
-                    cursor = OffsetCursor(thread_id)
-                    pager = self.pager_for(thread_id)
-                    for round_index in range(self.rounds):
-                        if pager is not None:
-                            pager.rewind()
-                        improve = IMPROVE_BASE * (IMPROVE_DECAY ** round_index)
-                        yield Compute(
-                            CYCLES_PER_EDGE * block_edges
-                            + CYCLES_PER_VERTEX * block_vertices
-                        )
-                        yield from batched_reads(
-                            {home: block_edges * EDGE_BYTES},
-                            cursor,
-                            chunk=4096,
-                            pager=pager,
-                        )
-                        # read current neighbor distances
-                        yield from batched_reads(
-                            self.spread_bytes(edges_to_dimm), cursor, pager=pager
-                        )
-                        # push improved distances to the owners
-                        yield from batched_writes(
-                            self.spread_bytes(edges_to_dimm, scale=improve),
-                            cursor,
-                            pager=pager,
-                        )
-                        yield Barrier()
-
-                return gen()
-
-            return factory
-
-        return [make_factory(t) for t in range(num_threads)]
+    def thread_ops(self, layout: dict, thread_id: int) -> Iterator:
+        vertices, edges, edges_to_dimm, home = self.block(layout, thread_id)
+        cursor = OffsetCursor(thread_id)
+        pager = self.pager_for(thread_id)
+        for round_index in range(self.rounds):
+            if pager is not None:
+                pager.rewind()
+            improve = IMPROVE_BASE * (IMPROVE_DECAY ** round_index)
+            yield Compute(CYCLES_PER_EDGE * edges + CYCLES_PER_VERTEX * vertices)
+            yield from batched_reads(
+                {home: edges * EDGE_BYTES}, cursor, chunk=4096, pager=pager
+            )
+            # read current neighbor distances
+            yield from batched_reads(
+                self.spread_bytes(edges_to_dimm), cursor, pager=pager
+            )
+            # push improved distances to the owners
+            yield from batched_writes(
+                self.spread_bytes(edges_to_dimm, scale=improve), cursor, pager=pager
+            )
+            yield Barrier()
 
 
 class SSSPBC(GraphKernel):
@@ -88,40 +63,19 @@ class SSSPBC(GraphKernel):
         super().__init__(**kwargs)
         self.rounds = rounds
 
-    def thread_factories(self, num_threads: int, num_dimms: int) -> List[ThreadFactory]:
-        self.validate(num_threads, num_dimms)
-        layout = self._layout(num_threads, num_dimms)
-
-        def make_factory(thread_id: int) -> ThreadFactory:
-            block_vertices = int(layout["block_vertices"][thread_id])
-            block_edges = int(layout["block_edges"][thread_id])
-            home = int(layout["dimm_of_block"][thread_id])
-
-            def factory() -> Iterator:
-                def gen():
-                    cursor = OffsetCursor(thread_id)
-                    pager = self.pager_for(thread_id)
-                    for round_index in range(self.rounds):
-                        if pager is not None:
-                            pager.rewind()
-                        improve = IMPROVE_BASE * (IMPROVE_DECAY ** round_index)
-                        updated = max(64, int(block_vertices * STATE_BYTES * improve))
-                        yield Broadcast(offset=cursor.take(updated), nbytes=updated)
-                        yield Barrier()
-                        yield from batched_reads(
-                            {home: block_edges * EDGE_BYTES},
-                            cursor,
-                            chunk=4096,
-                            pager=pager,
-                        )
-                        yield Compute(
-                            CYCLES_PER_EDGE * block_edges
-                            + CYCLES_PER_VERTEX * block_vertices
-                        )
-                        yield Barrier()
-
-                return gen()
-
-            return factory
-
-        return [make_factory(t) for t in range(num_threads)]
+    def thread_ops(self, layout: dict, thread_id: int) -> Iterator:
+        vertices, edges, _edges_to_dimm, home = self.block(layout, thread_id)
+        cursor = OffsetCursor(thread_id)
+        pager = self.pager_for(thread_id)
+        for round_index in range(self.rounds):
+            if pager is not None:
+                pager.rewind()
+            improve = IMPROVE_BASE * (IMPROVE_DECAY ** round_index)
+            updated = max(64, int(vertices * STATE_BYTES * improve))
+            yield Broadcast(offset=cursor.take(updated), nbytes=updated)
+            yield Barrier()
+            yield from batched_reads(
+                {home: edges * EDGE_BYTES}, cursor, chunk=4096, pager=pager
+            )
+            yield Compute(CYCLES_PER_EDGE * edges + CYCLES_PER_VERTEX * vertices)
+            yield Barrier()

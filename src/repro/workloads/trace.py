@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterator, List, Union
+from typing import Iterator, List, Tuple, Union
 
 from repro.errors import WorkloadError
-from repro.workloads.base import ThreadFactory, Workload
+from repro.workloads.base import Workload
 from repro.workloads.ops import Barrier, Broadcast, Compute, Flush, Read, Write
 
 _HEADER_MAGIC = "dimm-link-trace-v1"
@@ -109,8 +109,8 @@ class TraceWorkload(Workload):
         """Ops across all threads."""
         return sum(len(s) for s in self._streams)
 
-    def thread_factories(self, num_threads: int, num_dimms: int) -> List[ThreadFactory]:
-        """Replay; the run must match the recorded shape."""
+    def shape(self, num_threads: int, num_dimms: int) -> Tuple[int, int]:
+        """A replay must match the recorded thread and DIMM counts."""
         if num_threads != self.recorded_threads:
             raise WorkloadError(
                 f"trace has {self.recorded_threads} threads, asked for {num_threads}"
@@ -119,11 +119,7 @@ class TraceWorkload(Workload):
             raise WorkloadError(
                 f"trace recorded on {self.recorded_dimms} DIMMs, asked for {num_dimms}"
             )
+        return super().shape(num_threads, num_dimms)
 
-        def make_factory(thread_id: int) -> ThreadFactory:
-            def factory() -> Iterator:
-                return iter(self._streams[thread_id])
-
-            return factory
-
-        return [make_factory(t) for t in range(num_threads)]
+    def thread_ops(self, shape: Tuple[int, int], thread_id: int) -> Iterator:
+        return iter(self._streams[thread_id])

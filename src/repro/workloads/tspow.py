@@ -9,10 +9,10 @@ end-to-end performance track synchronization cost.
 
 from __future__ import annotations
 
-from typing import Iterator, List
+from typing import Iterator, Tuple
 
 from repro.errors import WorkloadError
-from repro.workloads.base import ThreadFactory, Workload
+from repro.workloads.base import Workload
 from repro.workloads.batching import OffsetCursor, batched_reads
 from repro.workloads.graphkernels import data_dimm
 from repro.workloads.ops import Barrier, Compute, Read, Write
@@ -35,40 +35,23 @@ class TSPow(Workload):
         self.samples_per_thread = samples_per_thread
         self.chunks = chunks
 
-    def thread_factories(self, num_threads: int, num_dimms: int) -> List[ThreadFactory]:
-        self.validate(num_threads, num_dimms)
+    def thread_ops(self, shape: Tuple[int, int], thread_id: int) -> Iterator:
+        num_threads, num_dimms = shape
         chunk_samples = self.samples_per_thread // self.chunks
         profile_dimm = data_dimm(0, num_threads, num_dimms)
-
-        def make_factory(thread_id: int) -> ThreadFactory:
-            home = data_dimm(thread_id, num_threads, num_dimms)
-
-            def factory() -> Iterator:
-                def gen():
-                    cursor = OffsetCursor(thread_id)
-                    for _chunk in range(self.chunks):
-                        yield from batched_reads(
-                            {home: chunk_samples * SAMPLE_BYTES},
-                            cursor,
-                            chunk=8192,
-                        )
-                        yield Compute(CYCLES_PER_SAMPLE * chunk_samples)
-                        # read-modify-write the shared profile entry
-                        profile_offset = cursor.take(PROFILE_ENTRY_BYTES)
-                        yield Read(
-                            dimm=profile_dimm,
-                            offset=profile_offset,
-                            nbytes=PROFILE_ENTRY_BYTES,
-                        )
-                        yield Write(
-                            dimm=profile_dimm,
-                            offset=profile_offset,
-                            nbytes=PROFILE_ENTRY_BYTES,
-                        )
-                        yield Barrier()
-
-                return gen()
-
-            return factory
-
-        return [make_factory(t) for t in range(num_threads)]
+        home = data_dimm(thread_id, num_threads, num_dimms)
+        cursor = OffsetCursor(thread_id)
+        for _chunk in range(self.chunks):
+            yield from batched_reads(
+                {home: chunk_samples * SAMPLE_BYTES}, cursor, chunk=8192
+            )
+            yield Compute(CYCLES_PER_SAMPLE * chunk_samples)
+            # read-modify-write the shared profile entry
+            profile_offset = cursor.take(PROFILE_ENTRY_BYTES)
+            yield Read(
+                dimm=profile_dimm, offset=profile_offset, nbytes=PROFILE_ENTRY_BYTES
+            )
+            yield Write(
+                dimm=profile_dimm, offset=profile_offset, nbytes=PROFILE_ENTRY_BYTES
+            )
+            yield Barrier()

@@ -48,6 +48,18 @@ def test_spec_rejects_dynamic_placement_on_optimized_kind():
 def test_build_workload_rejects_paging_unpaged_workloads():
     with pytest.raises(ConfigError):
         build_workload("kmeans", size="tiny", paged=True)
+    # uniform_random goes through the same registry: a dynamic placement
+    # must not silently run (and cache) the static run under a new key
+    for data_placement in ("first_touch", "next_touch", "profiled"):
+        spec = RunSpec(
+            config="4D-2C",
+            workload="uniform_random",
+            size="tiny",
+            mechanism="mcn",
+            data_placement=data_placement,
+        )
+        with pytest.raises(ConfigError):
+            execute_spec(spec)
 
 
 # -- cache-key stability -------------------------------------------------------------

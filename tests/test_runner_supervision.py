@@ -95,6 +95,18 @@ class FlakyExecute:
         return fake_result(spec)
 
 
+# -- no cache ------------------------------------------------------------------------
+
+
+def test_an_empty_cache_dir_means_no_cache(tmp_path, monkeypatch):
+    """``cache=""`` is no cache, not a cache in the working directory."""
+    monkeypatch.chdir(tmp_path)
+    runner = SweepRunner(cache="", execute=ok_execute)
+    assert len(runner.run(grid(2))) == 2
+    assert runner.cache is None
+    assert list(tmp_path.iterdir()) == []
+
+
 # -- incremental checkpointing (satellite regression) --------------------------------
 
 

@@ -30,7 +30,7 @@ from repro.workloads.graphkernels import GraphKernel
 class _Kernel(GraphKernel):
     name = "probe"
 
-    def thread_factories(self, num_threads, num_dimms):  # pragma: no cover
+    def thread_ops(self, shape, thread_id):  # pragma: no cover
         raise NotImplementedError
 
 

@@ -271,6 +271,9 @@ def test_params_on_non_parameterized_workloads_fail_loudly():
         )
         with pytest.raises(ConfigError):
             execute_spec(spec)
+        # so does an unknown size, which must never alias the small run
+        with pytest.raises(ConfigError):
+            execute_spec(RunSpec(config="4D-2C", workload=workload, size="huge"))
 
 
 # -- stat suffix matching: the dlrm.*/apsp.* aliasing regression ---------------------
