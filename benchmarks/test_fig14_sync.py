@@ -4,7 +4,7 @@ from repro.experiments import fig14_sync
 
 
 def test_fig14_interval_sweep(once):
-    rows = once(fig14_sync.run_intervals, intervals=(500, 2000), barriers=5)
+    rows, _tspow = once(fig14_sync.run, size="tiny", intervals=(500, 2000), barriers=5)
     for row in rows:
         assert row["DL-Hier"] <= row["MCN"]
     tight = fig14_sync.speedups_at(rows, 500)
@@ -12,5 +12,5 @@ def test_fig14_interval_sweep(once):
 
 
 def test_fig14_tspow(once):
-    results = once(fig14_sync.run_tspow, size="tiny")
+    _rows, results = once(fig14_sync.run, size="tiny")
     assert results["DL-Hier"] < results["MCN"]

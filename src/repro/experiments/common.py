@@ -30,7 +30,7 @@ from repro.workloads.dlrm import DLRMEmbedding
 from repro.workloads.hotpage import HotPage
 from repro.workloads.hotspot import Hotspot
 from repro.workloads.kmeans import KMeans
-from repro.workloads.microbench import UniformRandom
+from repro.workloads.microbench import SyncInterval, UniformRandom
 from repro.workloads.nw import NeedlemanWunsch
 from repro.workloads.pagerank import PageRank, PageRankBC
 from repro.workloads.spmv import SpMV, SpMVBC
@@ -71,8 +71,18 @@ _APSP_PRESETS = {
     "large": dict(n=192, block=16, density=0.25),
 }
 
+#: Fig. 14-(a)'s compute-then-barrier microbenchmark: one shape at every
+#: size preset (the experiment sets both per spec).
+_SYNC_INTERVAL_PRESETS = {
+    size: dict(interval_instructions=500, barriers=20) for size in _SIZES
+}
+
 #: workloads accepting parameter overrides, with their preset tables.
-_PARAMETERIZED = {"dlrm": _DLRM_PRESETS, "apsp": _APSP_PRESETS}
+_PARAMETERIZED = {
+    "dlrm": _DLRM_PRESETS,
+    "apsp": _APSP_PRESETS,
+    "sync_interval": _SYNC_INTERVAL_PRESETS,
+}
 
 #: hotpage (hot-shard) shapes per size preset.
 _HOTPAGE_PRESETS = {
@@ -110,14 +120,14 @@ def build_workload(
     overrides: Optional[Dict[str, object]] = None,
     paged: bool = False,
 ) -> Workload:
-    """Instantiate a Table IV workload, or the ``uniform_random`` IDC
-    stress kernel, at a size preset.
+    """Instantiate a Table IV workload, the ``uniform_random`` IDC stress
+    kernel, or Fig. 14's ``sync_interval`` microbenchmark, at a size preset.
 
     ``overrides`` tunes individual shape parameters of the parameterized
-    workloads (``dlrm``, ``apsp``) on top of their size preset — unknown
-    keys, and any override on a non-parameterized workload, raise
-    :class:`~repro.errors.ConfigError` so a typo can't silently run the
-    preset shape.
+    workloads (``dlrm``, ``apsp``, ``sync_interval``) on top of their
+    size preset — unknown keys, and any override on a non-parameterized
+    workload, raise :class:`~repro.errors.ConfigError` so a typo can't
+    silently run the preset shape.
 
     ``paged=True`` makes the op streams carry page ids so a page table
     can resolve (and migrate) their data; only the workloads in
@@ -142,7 +152,9 @@ def build_workload(
             kwargs[key] = value
         if name == "dlrm":
             return DLRMEmbedding(seed=seed, **kwargs)
-        return BlockedFloydWarshall(seed=seed, **kwargs)
+        if name == "apsp":
+            return BlockedFloydWarshall(seed=seed, **kwargs)
+        return SyncInterval(**kwargs)  # draws nothing random: no seed
     if overrides:
         raise ConfigError(
             f"workload {name!r} does not accept parameter overrides "

@@ -10,13 +10,10 @@ DL-Hier 1.46-1.74x over MCN).
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.report import format_table
-from repro.config import SystemConfig
-from repro.experiments.common import build_workload, run_nmp, threads_for
-from repro.nmp.system import NMPSystem
-from repro.workloads.microbench import SyncInterval
+from repro.experiments.runner import RunSpec, SweepRunner, run_specs
 
 #: (mechanism, sync mode) pairs in the figure.
 SYSTEMS = (
@@ -25,72 +22,75 @@ SYSTEMS = (
     ("dimm_link", "central", "DL-Central"),
     ("dimm_link", "hierarchical", "DL-Hier"),
 )
+LABELS = tuple(label for _m, _s, label in SYSTEMS)
 
 DEFAULT_INTERVALS = (500, 1000, 2000, 5000)
 
 
-def run_intervals(
+def specs(
+    size: str = "small",
     intervals: Sequence[int] = DEFAULT_INTERVALS,
-    config_name: str = "16D-8C",
     barriers: int = 10,
-) -> List[Dict[str, float]]:
-    """Panel (a): one row per interval with per-system times (us)."""
-    config = SystemConfig.named(config_name)
-    rows = []
-    for interval in intervals:
-        workload = SyncInterval(interval_instructions=interval, barriers=barriers)
-        row: Dict[str, float] = {"interval": interval}
-        for mechanism, mode, label in SYSTEMS:
-            system = NMPSystem(
-                SystemConfig.named(config_name), idc=mechanism, sync_mode=mode
-            )
-            result = system.run(
-                workload.thread_factories(threads_for(config), config.num_dimms),
-                workload_name="sync_interval",
-            )
-            row[label] = result.time_us
-        rows.append(row)
-    return rows
-
-
-def run_tspow(size: str = "small", config_name: str = "16D-8C") -> Dict[str, float]:
-    """Panel (b): TS.Pow end-to-end times per system (us)."""
-    workload = build_workload("ts_pow", size)
-    out = {}
-    for mechanism, mode, label in SYSTEMS:
-        result = run_nmp(
-            SystemConfig.named(config_name), workload, mechanism, sync_mode=mode
+    config_name: str = "16D-8C",
+) -> List[RunSpec]:
+    """Panel (a)'s interval x system grid, then panel (b)'s TS.Pow runs."""
+    points = [
+        ("sync_interval", f"barriers={barriers},interval_instructions={interval}")
+        for interval in intervals
+    ] + [("ts_pow", "")]
+    return [
+        RunSpec(
+            config=config_name,
+            workload=workload,
+            size=size,
+            mechanism=mechanism,
+            sync_mode=mode,
+            params=params,
         )
-        out[label] = result.time_us
-    return out
+        for workload, params in points
+        for mechanism, mode, _label in SYSTEMS
+    ]
+
+
+def run(
+    size: str = "small",
+    intervals: Sequence[int] = DEFAULT_INTERVALS,
+    barriers: int = 10,
+    config_name: str = "16D-8C",
+    runner: Optional[SweepRunner] = None,
+) -> Tuple[List[Dict[str, float]], Dict[str, float]]:
+    """Both panels from one spec batch, times in us: (a) one row per
+    interval with per-system times, (b) TS.Pow's per-system times."""
+    results = iter(run_specs(specs(size, intervals, barriers, config_name), runner))
+    rows = [
+        {"interval": interval, **{label: next(results).time_us for label in LABELS}}
+        for interval in intervals
+    ]
+    return rows, {label: next(results).time_us for label in LABELS}
 
 
 def speedups_at(rows: List[Dict[str, float]], interval: int) -> Dict[str, float]:
     """DL-Hier's speedup over each baseline at one interval."""
     row = next(r for r in rows if r["interval"] == interval)
     return {
-        label: row[label] / row["DL-Hier"]
-        for _m, _s, label in SYSTEMS
-        if label != "DL-Hier"
+        label: row[label] / row["DL-Hier"] for label in LABELS if label != "DL-Hier"
     }
 
 
 def main() -> None:
     """Print both Fig. 14 panels."""
-    rows = run_intervals()
+    rows, tspow = run()
     print("Fig. 14(a): time (us) vs synchronization interval (instructions)")
-    labels = [label for _m, _s, label in SYSTEMS]
     print(
         format_table(
-            ["interval"] + labels,
-            [[r["interval"]] + [r[label] for label in labels] for r in rows],
+            ["interval", *LABELS],
+            [[r["interval"]] + [r[label] for label in LABELS] for r in rows],
             precision=1,
         )
     )
     fastest = speedups_at(rows, rows[0]["interval"])
     print(f"\nDL-Hier speedup at {rows[0]['interval']}-instr interval "
           f"(paper: 5.3x over MCN, 2.2x over AIM): {fastest}")
-    tspow = run_tspow()
     print("\nFig. 14(b): TS.Pow end-to-end (us):", tspow)
     print(f"DL-Hier over MCN: {tspow['MCN'] / tspow['DL-Hier']:.2f}x "
           f"(paper: 1.46-1.74x)")

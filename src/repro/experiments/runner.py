@@ -152,7 +152,8 @@ class RunSpec:
     #: workload parameter overrides as ``"key=value,key=value"`` (empty =
     #: pure size preset).  Canonicalized to sorted-key order on
     #: construction so equal overrides always hash equally; only the
-    #: parameterized workloads (``dlrm``, ``apsp``) accept them.
+    #: parameterized workloads (``dlrm``, ``apsp``, ``sync_interval``)
+    #: accept them.
     params: str = ""
     #: page-granularity data placement policy: ``"static"`` (the legacy
     #: loader shard, byte-identical to pre-pagetable runs),

@@ -9,7 +9,7 @@ DRAM bank model.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.config import SystemConfig
 from repro.dram.address import PAGE_BYTES, page_offset
@@ -22,6 +22,7 @@ from repro.nmp.results import RunResult
 from repro.sim.engine import SimEvent, Simulator
 from repro.sim.stats import StatRegistry
 from repro.sim.time import ns
+from repro.workloads.base import ThreadFactory
 from repro.workloads.ops import Broadcast, Write
 
 #: outstanding-miss window per host hardware thread.
@@ -221,7 +222,7 @@ class HostCPUSystem:
 
     def run(
         self,
-        thread_factories: List[Callable[[], Iterator]],
+        thread_factories: List[ThreadFactory],
         placement: Optional[List[int]] = None,
         workload_name: str = "kernel",
         pagetable=None,

@@ -12,7 +12,7 @@ each run is hermetic and deterministic.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Callable, Iterator, List, Optional, Union
+from typing import List, Optional, Union
 
 from repro.config import SystemConfig
 from repro.core.sync import SyncManager
@@ -28,8 +28,7 @@ from repro.nmp.executor import run_threads
 from repro.nmp.results import RunResult
 from repro.sim.engine import Simulator
 from repro.sim.stats import StatRegistry
-
-ThreadFactory = Callable[[], Iterator]
+from repro.workloads.base import ThreadFactory
 
 #: default polling strategy per mechanism (MCN has no proxy hardware).
 _DEFAULT_POLLING = {

@@ -1,6 +1,8 @@
 """Integration tests: every experiment harness runs and reproduces the
 paper's qualitative shapes at the tiny size preset."""
 
+import json
+
 import pytest
 
 from repro.config import SystemConfig
@@ -20,6 +22,10 @@ from repro.experiments import (
     table2_serdes,
 )
 from repro.errors import ConfigError
+from repro.experiments.common import threads_for
+from repro.experiments.runner import SweepRunner, execute_spec
+from repro.nmp.system import NMPSystem
+from repro.workloads.microbench import SyncInterval
 
 
 # -- workload registry -----------------------------------------------------------
@@ -38,6 +44,15 @@ def test_build_workload_rejects_unknown():
         build_workload("matrix_inverse", "tiny")
     with pytest.raises(ConfigError):
         build_workload("bfs", "gigantic")
+
+
+def test_build_workload_overrides_sync_interval_shape():
+    workload = build_workload(
+        "sync_interval", "tiny", overrides={"barriers": 3, "interval_instructions": 100}
+    )
+    assert isinstance(workload, SyncInterval)
+    assert (workload.barriers, workload.interval_instructions) == (3, 100)
+    assert workload.local_reads_per_interval == 4  # rest of the shape intact
 
 
 # -- Fig. 1 -----------------------------------------------------------------------
@@ -135,7 +150,7 @@ def test_fig13_energy_mcn_worst():
 # -- Fig. 14 -----------------------------------------------------------------------
 
 def test_fig14_hier_wins_and_gap_grows_with_frequency():
-    rows = fig14_sync.run_intervals(intervals=(500, 5000), barriers=5)
+    rows, _tspow = fig14_sync.run(size="tiny", intervals=(500, 5000), barriers=5)
     for row in rows:
         assert row["DL-Hier"] <= row["MCN"]
         assert row["DL-Hier"] <= row["DL-Central"]
@@ -145,8 +160,35 @@ def test_fig14_hier_wins_and_gap_grows_with_frequency():
 
 
 def test_fig14_tspow_dl_beats_mcn():
-    results = fig14_sync.run_tspow(size="tiny")
+    _rows, results = fig14_sync.run(size="tiny")
     assert results["DL-Hier"] < results["MCN"]
+
+
+def test_fig14_runs_through_the_sweep_runner(tmp_path):
+    runner = SweepRunner(cache=str(tmp_path))
+    cold = fig14_sync.run(size="tiny", barriers=2, runner=runner)
+    assert runner.stats == {"cache.hits": 0, "cache.misses": 20}
+    warm = fig14_sync.run(size="tiny", barriers=2, runner=runner)
+    assert runner.stats == {"cache.hits": 20, "cache.misses": 20}
+    assert warm == cold
+
+
+@pytest.mark.parametrize("index", range(len(fig14_sync.SYSTEMS)))
+def test_fig14_sync_spec_equals_the_hand_built_run(index):
+    """A panel (a) spec simulates exactly what a hand-built ``NMPSystem``
+    runs on the same ``SyncInterval``."""
+    spec = fig14_sync.specs("tiny", (500,), barriers=3, config_name="4D-2C")[index]
+    mechanism, mode, _label = fig14_sync.SYSTEMS[index]
+    via_spec = execute_spec(spec)
+    config = SystemConfig.named("4D-2C")
+    workload = SyncInterval(interval_instructions=500, barriers=3)
+    by_hand = NMPSystem(config, idc=mechanism, sync_mode=mode).run(
+        workload.thread_factories(threads_for(config), config.num_dimms),
+        workload_name="sync_interval",
+    )
+    assert json.dumps(via_spec.to_json_dict(), sort_keys=True) == json.dumps(
+        by_hand.to_json_dict(), sort_keys=True
+    )
 
 
 # -- Fig. 15 -----------------------------------------------------------------------

@@ -257,11 +257,10 @@ def test_spec_rejects_bad_params_at_construction():
 
 
 def test_unknown_override_key_fails_at_workload_build():
-    spec = RunSpec(
-        config="4D-2C", workload="apsp", size="tiny", params="edges=9"
-    )
-    with pytest.raises(ConfigError):
-        execute_spec(spec)
+    for workload, params in (("apsp", "edges=9"), ("sync_interval", "rounds=3")):
+        spec = RunSpec(config="4D-2C", workload=workload, size="tiny", params=params)
+        with pytest.raises(ConfigError, match=f"unknown {workload} parameter"):
+            execute_spec(spec)
 
 
 def test_params_on_non_parameterized_workloads_fail_loudly():
